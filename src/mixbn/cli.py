@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import __version__
-from .dataset import CONTINUOUS, Dataset, load_csv, load_schema, select_rows
+from .dataset import CONTINUOUS, Dataset, _check_value, load_csv, load_schema, select_rows
 from .errors import MixbnError
 from .evaluation import REGIMES, EvalConfig, format_report, run_eval
 from .graph import EdgeConstraints
@@ -59,7 +59,7 @@ def _load_data(args) -> Dataset:
     return load_csv(args.data, schema)
 
 
-def _load_record(path: str, d_schema) -> dict:
+def _load_record(path: str) -> dict:
     with open(path) as fh:
         rec = json.load(fh)
     if not isinstance(rec, dict):
@@ -71,13 +71,7 @@ def _record_to_row(record: dict, dataset: Dataset) -> tuple:
     unknown = set(record) - set(dataset.names)
     if unknown:
         raise MixbnError(f"record names unknown columns {sorted(unknown)}")
-    row = []
-    for col in dataset.schema:
-        v = record.get(col.name)
-        if v is not None and col.kind == CONTINUOUS:
-            v = float(v)
-        row.append(v)
-    return tuple(row)
+    return tuple(_check_value(record.get(col.name), col, 0) for col in dataset.schema)
 
 
 def _expert_constraints(args) -> EdgeConstraints:
@@ -100,7 +94,7 @@ def _metric_spec(args, dataset: Dataset) -> DistanceSpec:
         if args.weight is not None:
             weight = args.weight
         else:
-            _, weight = penalty_weights(dataset, seed=args.seed)
+            _, weight = penalty_weights(dataset)
         weights = {
             c.name: (weight if c.kind == CONTINUOUS else 1.0) for c in dataset.schema
         }
@@ -124,19 +118,17 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _obtain_model(args, need_record_row=False):
+def _obtain_model(args, record: dict):
     """Model from --model, or trained on the analogues of --record from --data."""
     inputs = []
     if args.model:
         model = load_model(args.model)
         inputs.append(args.model)
-        dataset = None
     else:
         if not (args.data and args.schema):
             raise MixbnError("provide either --model or both --data and --schema")
         dataset = _load_data(args)
         inputs.extend([args.data, args.schema])
-        record = _load_record(args.record, dataset.schema)
         if args.metric:
             spec = _metric_spec(args, dataset)
             row = _record_to_row(record, dataset)
@@ -150,12 +142,9 @@ def _obtain_model(args, need_record_row=False):
 
 def cmd_restore(args) -> int:
     started = time.monotonic()
-    model, inputs = _obtain_model(args)
-    with open(args.record) as fh:
-        record = json.load(fh)
+    record = _load_record(args.record)
+    model, inputs = _obtain_model(args, record)
     inputs.append(args.record)
-    for node in model.dag.nodes:
-        record.setdefault(node, None)
     completed = restore(model, record, args.samples, args.seed)
     with open(args.out, "w") as fh:
         json.dump(completed, fh, sort_keys=True, indent=2)
@@ -167,8 +156,7 @@ def cmd_restore(args) -> int:
 def cmd_analogues(args) -> int:
     started = time.monotonic()
     dataset = _load_data(args)
-    record = _load_record(args.record, dataset.schema)
-    row = _record_to_row(record, dataset)
+    row = _record_to_row(_load_record(args.record), dataset)
     spec = _metric_spec(args, dataset)
     idxs = nearest_analogues(AnalogueQuery(row, spec, args.n_analogues), dataset)
     with open(args.out, "w") as fh:
@@ -181,8 +169,7 @@ def cmd_analogues(args) -> int:
 def cmd_anomalies(args) -> int:
     started = time.monotonic()
     model = load_model(args.model)
-    with open(args.record) as fh:
-        record = json.load(fh)
+    record = _load_record(args.record)
     score, flag = anomaly_score(model, record, args.target, args.samples, args.seed)
     with open(args.out, "w") as fh:
         json.dump(

@@ -115,7 +115,7 @@ def _derive_gower_weight(d: Dataset, cfg: EvalConfig) -> tuple[float, str]:
     if cfg.gower_weight is not None:
         return cfg.gower_weight, "configured"
     try:
-        _, weight = penalty_weights(d, seed=cfg.seed)
+        _, weight = penalty_weights(d)
         return weight, "penalty_ratio"
     except SimilarityError:
         return 1.0, "degenerate_fallback"
@@ -199,17 +199,14 @@ def leave_one_out(
                 truth = row[d.col_index(p)]
                 if truth is None:
                     continue
-                record = {name: row[d.col_index(name)] for name in params}
-                record[p] = None
-                ev = {k: v for k, v in record.items() if v is not None}
+                ev = {
+                    name: v for name, v in zip(params, row) if name != p and v is not None
+                }
                 valid_ev, dropped = sanitize_evidence(model, ev)
                 dropped_evidence += len(dropped)
-                rec = dict(record)
-                for name in dropped:
-                    rec[name] = None
                 try:
                     restored = restore(
-                        model, rec, cfg.m_samples, _row_seed(cfg.seed, t, p_idx)
+                        model, valid_ev, cfg.m_samples, _row_seed(cfg.seed, t, p_idx)
                     )
                 except MixbnError:
                     restore_failures += 1
@@ -289,16 +286,18 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
         scores: list[float] = []
         labels: list[bool] = []
         for i in present:
-            record = {name: perturbed.rows[i][d.col_index(name)] for name in d.names}
-            ev = {k2: v for k2, v in record.items() if k2 != target and v is not None}
+            row = perturbed.rows[i]
+            ev = {
+                name: v for name, v in zip(d.names, row) if name != target and v is not None
+            }
             valid_ev, _ = sanitize_evidence(model, ev)
-            rec = dict(record)
-            for name in ev:
-                if name not in valid_ev:
-                    rec[name] = None
             try:
                 score, _flag = anomaly_score(
-                    model, rec, target, cfg.m_samples, _row_seed(cfg.seed, i, j)
+                    model,
+                    {**valid_ev, target: row[j]},
+                    target,
+                    cfg.m_samples,
+                    _row_seed(cfg.seed, i, j),
                 )
             except MixbnError:
                 continue

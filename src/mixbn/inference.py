@@ -29,10 +29,9 @@ Evidence = Mapping[str, Value]
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Per-node sample columns; every column has exactly m entries."""
+    """Per-node sample columns; every column has the same length."""
 
     columns: Mapping[str, list]
-    m: int
 
 
 def validate_evidence(model: BayesianNetworkModel, ev: Evidence) -> None:
@@ -100,7 +99,7 @@ def forward_sample(
                 value = _draw(model, node, current, rng)
             current[node] = value
             columns[node].append(value)
-    return SampleSet(columns, m)
+    return SampleSet(columns)
 
 
 def _draw(model: BayesianNetworkModel, node: str, current: Mapping[str, Value], rng) -> Value:

@@ -6,10 +6,10 @@ Layout::
      "edges": [[parent, child], ...],
      "bins": b, "alpha": a}
 
-Association keys (parent-label tuples) are joined with "|"; labels
-containing the delimiter are rejected at serialization time.  Output is
-canonical (sorted keys, 2-space indent) so serialize -> parse ->
-serialize round-trips byte-identically.
+Association keys (parent-label tuples) are JSON-encoded label lists,
+e.g. ``'["a", "b"]'`` and ``'[]'`` for a parentless row, so any label
+survives the round trip.  Output is canonical (sorted keys, 2-space
+indent) so serialize -> parse -> serialize round-trips byte-identically.
 """
 from __future__ import annotations
 
@@ -24,20 +24,19 @@ from .parameters import (
     LinearGaussian,
 )
 
-KEY_DELIMITER = "|"
-
 
 def _join_key(labels: tuple[str, ...]) -> str:
-    for lab in labels:
-        if KEY_DELIMITER in lab:
-            raise ParameterError(
-                f"label {lab!r} contains the reserved delimiter {KEY_DELIMITER!r}"
-            )
-    return KEY_DELIMITER.join(labels)
+    return json.dumps(list(labels))
 
 
 def _split_key(key: str) -> tuple[str, ...]:
-    return tuple(key.split(KEY_DELIMITER)) if key else ()
+    try:
+        labels = json.loads(key)
+    except json.JSONDecodeError:
+        labels = None
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise ParameterError(f"association key {key!r} is not a JSON list of labels")
+    return tuple(labels)
 
 
 def _lg_to_dict(lg: LinearGaussian) -> dict:

@@ -13,7 +13,7 @@ the raw values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .dataset import (
     CATEGORICAL,
     CONTINUOUS,
     Dataset,
-    DiscretizationMap,
     quantile_discretize,
     select_rows,
 )
@@ -62,11 +61,6 @@ class LinearGaussian:
     marginal_mean: float
     marginal_variance: float
 
-    def predict(self, parent_values: Mapping[str, float]) -> float:
-        return self.intercept + sum(
-            coef * parent_values[name] for name, coef in self.coefficients.items()
-        )
-
 
 @dataclass(frozen=True)
 class ConditionalLinearGaussian:
@@ -89,7 +83,6 @@ class BayesianNetworkModel:
     distributions: Mapping[str, Distribution]
     bins: int = 5
     alpha: float = 1.0
-    discretization: Optional[DiscretizationMap] = field(default=None, compare=False)
 
     def __post_init__(self):
         for node in self.dag.nodes:
@@ -103,9 +96,6 @@ class BayesianNetworkModel:
 
     def discrete_parents(self, node: str) -> list[str]:
         return [p for p in self.parents_in_order(node) if self.node_kind[p] == CATEGORICAL]
-
-    def continuous_parents(self, node: str) -> list[str]:
-        return [p for p in self.parents_in_order(node) if self.node_kind[p] == CONTINUOUS]
 
 
 def _complete_rows(d: Dataset, names: Sequence[str]) -> list[tuple]:
@@ -221,7 +211,7 @@ def mixlearn(
     """Full pipeline: discretize, learn structure, fit parameters on raw data."""
     if d.n_rows == 0:
         raise ParameterError("cannot learn from an empty dataset")
-    disc_d, dmap = quantile_discretize(d, bins)
+    disc_d, _ = quantile_discretize(d, bins)
     guard = orientation_guard(d.schema)
     dag = hill_climb(
         disc_d,
@@ -243,4 +233,4 @@ def mixlearn(
                 distributions[node] = fit_conditional_linear_gaussian(d, node, disc, cont)
             else:
                 distributions[node] = fit_linear_gaussian(d, node, cont)
-    return BayesianNetworkModel(dag, kinds, distributions, bins, alpha, dmap)
+    return BayesianNetworkModel(dag, kinds, distributions, bins, alpha)

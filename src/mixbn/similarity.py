@@ -190,14 +190,14 @@ def nearest_analogues(q: AnalogueQuery, pool: Dataset) -> list[int]:
     return order[: q.n_analogues]
 
 
-def penalty_weights(
-    pool: Dataset, max_pairs: int = 1_000_000, seed: int = 0
-) -> tuple[dict[str, Optional[float]], float]:
+def penalty_weights(pool: Dataset, seed: int = 0) -> tuple[dict[str, Optional[float]], float]:
     """Mean per-variable Gower penalties and the derived continuous weight.
 
     The penalty of a variable on a comparable pair is its unweighted
-    dissimilarity 1 - S_j.  Means are exact when the pair count fits in
-    max_pairs, otherwise estimated from a seeded uniform pair sample.
+    dissimilarity 1 - S_j.  Means are exact at any pool size: label
+    counts for categorical columns, sorted prefix sums for continuous
+    ones, O(n log n) per column.  ``seed`` is unused; it is kept so that
+    existing ``penalty_weights(pool, seed=...)`` calls still work.
     The weight is the categorical-to-continuous ratio of mean penalties;
     variables without comparable pairs are excluded (reported as None).
     """
@@ -207,56 +207,31 @@ def penalty_weights(
     if CATEGORICAL not in kinds.values() or CONTINUOUS not in kinds.values():
         raise SimilarityError("penalty analysis needs both categorical and continuous columns")
     ranges = normalize_ranges(pool)
-    n = pool.n_rows
-    total_pairs = n * (n - 1) // 2
     table: dict[str, Optional[float]] = {}
-
-    if total_pairs <= max_pairs:
-        for col in pool.schema:
-            values = [v for v in pool.column(col.name) if v is not None]
-            m = len(values)
-            pairs = m * (m - 1) // 2
-            if pairs == 0:
-                table[col.name] = None
+    for col in pool.schema:
+        values = [v for v in pool.column(col.name) if v is not None]
+        m = len(values)
+        pairs = m * (m - 1) // 2
+        if pairs == 0:
+            table[col.name] = None
+            continue
+        if col.kind == CATEGORICAL:
+            counts: dict[str, int] = {}
+            for v in values:
+                counts[v] = counts.get(v, 0) + 1
+            matches = sum(c * (c - 1) // 2 for c in counts.values())
+            table[col.name] = 1.0 - matches / pairs
+        else:
+            rng = ranges[col.name]
+            span = 0.0 if rng is None else rng[1] - rng[0]
+            if span == 0.0:
+                table[col.name] = 0.0
                 continue
-            if col.kind == CATEGORICAL:
-                counts: dict[str, int] = {}
-                for v in values:
-                    counts[v] = counts.get(v, 0) + 1
-                matches = sum(c * (c - 1) // 2 for c in counts.values())
-                table[col.name] = 1.0 - matches / pairs
-            else:
-                rng = ranges[col.name]
-                span = 0.0 if rng is None else rng[1] - rng[0]
-                if span == 0.0:
-                    table[col.name] = 0.0
-                    continue
-                # mean pairwise |x_i - x_j| via sorted prefix sums
-                xs = np.sort(np.asarray(values, dtype=float))
-                ranks = np.arange(m, dtype=float)
-                total = float(np.sum((2 * ranks - m + 1) * xs))
-                table[col.name] = total / pairs / span
-    else:
-        rng_gen = np.random.default_rng(seed)
-        ii = rng_gen.integers(0, n, size=max_pairs)
-        jj = rng_gen.integers(0, n - 1, size=max_pairs)
-        jj = np.where(jj >= ii, jj + 1, jj)  # uniform over ordered distinct pairs
-        for col in pool.schema:
-            j = pool.col_index(col.name)
-            pen_sum = 0.0
-            pen_count = 0
-            for a_idx, b_idx in zip(ii, jj):
-                a, b = pool.rows[a_idx][j], pool.rows[b_idx][j]
-                if a is None or b is None:
-                    continue
-                if col.kind == CATEGORICAL:
-                    pen_sum += 0.0 if a == b else 1.0
-                else:
-                    r = ranges[col.name]
-                    span = 0.0 if r is None else r[1] - r[0]
-                    pen_sum += 0.0 if span == 0.0 else min(abs(a - b) / span, 1.0)
-                pen_count += 1
-            table[col.name] = pen_sum / pen_count if pen_count else None
+            # mean pairwise |x_i - x_j| via sorted prefix sums
+            xs = np.sort(np.asarray(values, dtype=float))
+            ranks = np.arange(m, dtype=float)
+            total = float(np.sum((2 * ranks - m + 1) * xs))
+            table[col.name] = total / pairs / span
 
     cat = [table[c.name] for c in pool.schema if kinds[c.name] == CATEGORICAL and table[c.name] is not None]
     cont = [table[c.name] for c in pool.schema if kinds[c.name] == CONTINUOUS and table[c.name] is not None]

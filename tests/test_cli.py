@@ -207,3 +207,29 @@ class TestErrorSurface:
                      "--schema", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "m.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, record",
+        [
+            ("restore", []),
+            ("anomalies", []),
+            ("analogues", {"X1": "abc"}),
+            ("analogues", {"X1": True}),
+        ],
+    )
+    def test_malformed_record_is_an_input_error(self, small_data, tmp_path, capsys,
+                                                command, record):
+        csv, schema = small_data
+        model_path = tmp_path / "model.json"
+        assert main(["learn", "--data", csv, "--schema", schema, "--out", str(model_path)]) == 0
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps(record))
+        args = {
+            "restore": ["--model", str(model_path)],
+            "anomalies": ["--model", str(model_path), "--target", "X1"],
+            "analogues": ["--data", csv, "--schema", schema],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *args, "--record", str(rec_path),
+                     "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -1,14 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import clg5_dataset, cluster_dataset
 
-from mixbn.dataset import CATEGORICAL
+from mixbn.dataset import CATEGORICAL, CONTINUOUS
 from mixbn.errors import ParameterError
 from mixbn.graph import Dag
 from mixbn.model_io import dumps, loads, model_from_dict
-from mixbn.parameters import BayesianNetworkModel, Cpt, mixlearn
+from mixbn.parameters import (
+    BayesianNetworkModel,
+    ConditionalLinearGaussian,
+    Cpt,
+    LinearGaussian,
+    mixlearn,
+)
 
 
 class TestRoundTrip:
@@ -45,19 +53,75 @@ class TestRoundTrip:
                 assert other.table == dist.table
 
 
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+positive = st.floats(1e-3, 1e6)
+
+
+@st.composite
+def probabilities(draw, k):
+    weights = draw(st.lists(positive, min_size=k, max_size=k))
+    return tuple(w / sum(weights) for w in weights)
+
+
+@st.composite
+def linear_gaussians(draw, parents):
+    return LinearGaussian(
+        draw(finite),
+        {p: draw(finite) for p in parents},
+        draw(positive),
+        draw(finite),
+        draw(positive),
+    )
+
+
+@st.composite
+def models(draw):
+    """A -> B, A -> X, Y -> X: CPT root, one-parent CPT, LG root, CLG child.
+
+    A's labels always include "" and "|", the labels that broke the
+    earlier "|"-joined key format.
+    """
+    extra = draw(st.lists(st.text(), max_size=3, unique=True))
+    a_states = tuple(dict.fromkeys(["", "|", *extra]))
+    b_states = tuple(draw(st.lists(st.text(), min_size=1, max_size=3, unique=True)))
+    a_rows = draw(st.lists(st.sampled_from(a_states), min_size=1, unique=True))
+    dag = Dag(("A", "B", "Y", "X"), frozenset({("A", "B"), ("A", "X"), ("Y", "X")}))
+    return BayesianNetworkModel(
+        dag,
+        {"A": CATEGORICAL, "B": CATEGORICAL, "Y": CONTINUOUS, "X": CONTINUOUS},
+        {
+            "A": Cpt(a_states, {(): draw(probabilities(len(a_states)))}),
+            "B": Cpt(b_states, {(a,): draw(probabilities(len(b_states))) for a in a_rows}),
+            "Y": draw(linear_gaussians([])),
+            "X": ConditionalLinearGaussian(
+                {(a,): draw(linear_gaussians(["Y"])) for a in a_rows},
+                draw(linear_gaussians(["Y"])),
+            ),
+        },
+        draw(st.integers(2, 10)),
+        draw(positive),
+    )
+
+
 class TestDelimiterSafety:
-    def test_key_label_containing_delimiter_rejected(self):
-        dag = Dag(("A", "B"), frozenset({("A", "B")}))
+    @settings(deadline=None)
+    @given(models())
+    def test_model_survives_round_trip(self, model):
+        text = dumps(model)
+        back = loads(text)
+        assert back == model
+        assert dumps(back) == text
+
+    def test_old_delimited_key_rejected(self):
         model = BayesianNetworkModel(
-            dag,
+            Dag(("A", "B"), frozenset({("A", "B")})),
             {"A": CATEGORICAL, "B": CATEGORICAL},
-            {
-                "A": Cpt(("x|y",), {(): (1.0,)}),
-                "B": Cpt(("b",), {("x|y",): (1.0,)}),
-            },
+            {"A": Cpt(("a",), {(): (1.0,)}), "B": Cpt(("b",), {("a",): (1.0,)})},
         )
+        obj = json.loads(dumps(model))
+        obj["nodes"][1]["distribution"]["table"] = {"a|b": [1.0]}
         with pytest.raises(ParameterError):
-            dumps(model)
+            model_from_dict(obj)
 
     def test_unknown_distribution_tag_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,7 +1,7 @@
-import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mixbn.dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset, normalize_ranges
@@ -24,6 +24,30 @@ MIXED = (
 
 def spec(ranges=None, weights=None, metric="gower"):
     return DistanceSpec(metric, weights=weights or {}, ranges=ranges)
+
+
+def _assert_matches_pairwise_oracle(n_rows, missing, seed):
+    """penalty_weights against the mean over every comparable row pair."""
+    rng = random.Random(seed)
+
+    def cell(value):
+        return None if missing and rng.random() < missing else value
+
+    rows = tuple(
+        (cell(rng.choice(["a", "b", "c"])), cell(rng.uniform(0, 7))) for _ in range(n_rows)
+    )
+    pool = Dataset(MIXED, rows)
+    table, _ = penalty_weights(pool)
+    lo, hi = normalize_ranges(pool)["V"]
+    ii, jj = np.triu_indices(n_rows, k=1)
+    labels = np.array([r[0] for r in rows], dtype=object)
+    has_label = np.array([r[0] is not None for r in rows])
+    cat_pen = (labels[ii] != labels[jj])[has_label[ii] & has_label[jj]]
+    xs = np.array([np.nan if r[1] is None else r[1] for r in rows])
+    cont_pen = np.abs(xs[ii] - xs[jj]) / (hi - lo)
+    cont_pen = cont_pen[~np.isnan(cont_pen)]
+    assert table["K"] == pytest.approx(cat_pen.mean(), abs=1e-9)
+    assert table["V"] == pytest.approx(cont_pen.mean(), abs=1e-9)
 
 
 class TestGowerDistance:
@@ -226,30 +250,11 @@ class TestPenaltyWeights:
             penalty_weights(pool)
 
     def test_exact_matches_pairwise_enumeration_oracle(self):
-        rng = random.Random(3)
-        schema = (ColumnSchema("K", CATEGORICAL), ColumnSchema("V", CONTINUOUS))
-        rows = tuple((rng.choice(["a", "b", "c"]), rng.uniform(0, 7)) for _ in range(30))
-        pool = Dataset(schema, rows)
-        table, _ = penalty_weights(pool)
-        ranges = normalize_ranges(pool)
-        span = ranges["V"][1] - ranges["V"][0]
-        cat_pen, cont_pen = [], []
-        for (u, t) in itertools.combinations(rows, 2):
-            cat_pen.append(0.0 if u[0] == t[0] else 1.0)
-            cont_pen.append(abs(u[1] - t[1]) / span)
-        assert table["K"] == pytest.approx(sum(cat_pen) / len(cat_pen), abs=1e-9)
-        assert table["V"] == pytest.approx(sum(cont_pen) / len(cont_pen), abs=1e-9)
+        _assert_matches_pairwise_oracle(n_rows=30, missing=0.0, seed=3)
 
-    def test_sampled_estimate_is_seed_deterministic_and_close(self):
-        rng = random.Random(4)
-        schema = (ColumnSchema("K", CATEGORICAL), ColumnSchema("V", CONTINUOUS))
-        rows = tuple((rng.choice(["a", "b"]), rng.uniform(0, 1)) for _ in range(200))
-        pool = Dataset(schema, rows)
-        exact_table, exact_w = penalty_weights(pool)
-        t1, w1 = penalty_weights(pool, max_pairs=5000, seed=9)
-        t2, w2 = penalty_weights(pool, max_pairs=5000, seed=9)
-        assert (t1, w1) == (t2, w2)
-        assert w1 == pytest.approx(exact_w, rel=0.1)
+    def test_exact_matches_oracle_past_old_sampling_switch(self):
+        # 1500 rows give over a million pairs; the means must stay exact there
+        _assert_matches_pairwise_oracle(n_rows=1500, missing=0.05, seed=4)
 
     def test_needs_both_kinds(self):
         schema = (ColumnSchema("K", CATEGORICAL),)
