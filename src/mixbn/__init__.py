@@ -7,7 +7,6 @@ from .dataset import (  # noqa: F401
     CONTINUOUS,
     ColumnSchema,
     Dataset,
-    DiscretizationMap,
     load_csv,
     normalize_ranges,
     quantile_discretize,

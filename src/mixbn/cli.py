@@ -13,22 +13,15 @@ import sys
 import time
 
 from . import __version__
-from .dataset import CONTINUOUS, Dataset, _check_value, load_csv, load_schema, select_rows
+from .dataset import CONTINUOUS, Dataset, _check_value, load_csv, load_schema
 from .errors import MixbnError
-from .evaluation import REGIMES, EvalConfig, format_report, run_eval
+from .evaluation import ALL_DATASET, REGIMES, EvalConfig, format_report, run_eval, train_model
 from .graph import EdgeConstraints
 from .inference import anomaly_score, restore
 from .model_io import load as load_model
 from .model_io import save as save_model
 from .parameters import mixlearn
-from .similarity import (
-    GOWER_WEIGHTED,
-    METRICS,
-    AnalogueQuery,
-    DistanceSpec,
-    nearest_analogues,
-    penalty_weights,
-)
+from .similarity import AnalogueQuery, metric_spec, nearest_analogues
 
 
 def _digest(path: str) -> str:
@@ -85,23 +78,6 @@ def _expert_constraints(args) -> EdgeConstraints:
     )
 
 
-def _metric_spec(args, dataset: Dataset) -> DistanceSpec:
-    metric = args.metric.replace("-", "_")
-    if metric not in METRICS:
-        raise MixbnError(f"unknown metric {args.metric!r} (choose from {list(METRICS)})")
-    weights = {}
-    if metric == GOWER_WEIGHTED:
-        if args.weight is not None:
-            weight = args.weight
-        else:
-            _, weight = penalty_weights(dataset)
-        weights = {
-            c.name: (weight if c.kind == CONTINUOUS else 1.0) for c in dataset.schema
-        }
-    epsilon = args.epsilon if metric == "filter" else None
-    return DistanceSpec(metric, weights=weights, epsilon=epsilon)
-
-
 def cmd_learn(args) -> int:
     started = time.monotonic()
     d = _load_data(args)
@@ -119,25 +95,16 @@ def cmd_learn(args) -> int:
 
 
 def _obtain_model(args, record: dict):
-    """Model from --model, or trained on the analogues of --record from --data."""
-    inputs = []
+    """Model from --model, or trained for --record on --data (its analogues under --metric)."""
     if args.model:
-        model = load_model(args.model)
-        inputs.append(args.model)
-    else:
-        if not (args.data and args.schema):
-            raise MixbnError("provide either --model or both --data and --schema")
-        dataset = _load_data(args)
-        inputs.extend([args.data, args.schema])
-        if args.metric:
-            spec = _metric_spec(args, dataset)
-            row = _record_to_row(record, dataset)
-            idxs = nearest_analogues(AnalogueQuery(row, spec, args.n_analogues), dataset)
-            train = select_rows(dataset, idxs)
-        else:
-            train = dataset
-        model = mixlearn(train, bins=args.bins, max_parents=args.max_parents)
-    return model, inputs
+        return load_model(args.model), [args.model]
+    if not (args.data and args.schema):
+        raise MixbnError("provide either --model or both --data and --schema")
+    dataset = _load_data(args)
+    row = _record_to_row(record, dataset)
+    model, _ = train_model(dataset, row, args.metric or ALL_DATASET, args.n_analogues,
+                           args.bins, args.max_parents, args.weight, args.epsilon)
+    return model, [args.data, args.schema]
 
 
 def cmd_restore(args) -> int:
@@ -157,7 +124,7 @@ def cmd_analogues(args) -> int:
     started = time.monotonic()
     dataset = _load_data(args)
     row = _record_to_row(_load_record(args.record), dataset)
-    spec = _metric_spec(args, dataset)
+    spec = metric_spec(args.metric, dataset, args.weight, args.epsilon)
     idxs = nearest_analogues(AnalogueQuery(row, spec, args.n_analogues), dataset)
     with open(args.out, "w") as fh:
         json.dump({"metric": args.metric, "indices": idxs}, fh, indent=2)
@@ -270,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-analogues", type=int, default=40)
     p.add_argument("--weight", type=float)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analogues)
 

@@ -155,25 +155,6 @@ def load_csv(path: str, schema: Sequence[ColumnSchema]) -> Dataset:
     return Dataset(schema, tuple(rows))
 
 
-@dataclass(frozen=True)
-class DiscretizationMap:
-    """Quantile bin edges per continuous column.
-
-    A value v falls into bin ``bisect_left(edges, v)``: values less than
-    or equal to an edge stay below it, so bins hold equal counts on
-    distinct data.
-    """
-
-    edges: Mapping[str, tuple[float, ...]]
-    bins: int
-
-    def bin_index(self, name: str, value: float) -> int:
-        return bisect_left(self.edges[name], value)
-
-    def bin_label(self, name: str, value: float) -> str:
-        return str(self.bin_index(name, value))
-
-
 def quantile_edges(values: Sequence[float], bins: int) -> tuple[float, ...]:
     """Edges at the ceil(k*n/bins)-th order statistic, k = 1..bins-1, deduplicated."""
     vals = sorted(values)
@@ -186,10 +167,14 @@ def quantile_edges(values: Sequence[float], bins: int) -> tuple[float, ...]:
     return tuple(edges)
 
 
-def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, DiscretizationMap]:
+def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, dict[str, tuple[float, ...]]]:
     """Replace continuous columns by categorical bin labels "0".."bins-1".
 
-    Missing stays missing; categorical columns pass through unchanged.
+    Returns the discretized table and the quantile edges per continuous
+    column.  A value v gets the label of bin ``bisect_left(edges, v)``:
+    values less than or equal to an edge stay below it, so bins hold equal
+    counts on distinct data.  Missing stays missing; categorical columns
+    pass through unchanged.
     """
     if bins < 2:
         raise DatasetError(f"bins must be >= 2, got {bins}")
@@ -203,7 +188,6 @@ def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, DiscretizationM
                 f"column {col.name!r} has {len(present)} non-missing values, needs >= {bins}"
             )
         edges[col.name] = quantile_edges(present, bins)
-    dmap = DiscretizationMap(edges, bins)
 
     new_schema = tuple(ColumnSchema(c.name, CATEGORICAL) for c in d.schema)
     cont_idx = {i for i, c in enumerate(d.schema) if c.kind == CONTINUOUS}
@@ -213,11 +197,11 @@ def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, DiscretizationM
             tuple(
                 None
                 if v is None
-                else (dmap.bin_label(d.schema[j].name, v) if j in cont_idx else v)
+                else (str(bisect_left(edges[d.schema[j].name], v)) if j in cont_idx else v)
                 for j, v in enumerate(row)
             )
         )
-    return Dataset(new_schema, tuple(new_rows)), dmap
+    return Dataset(new_schema, tuple(new_rows)), edges
 
 
 def normalize_ranges(d: Dataset) -> dict[str, Optional[tuple[float, float]]]:

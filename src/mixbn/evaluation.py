@@ -5,14 +5,8 @@ train on everything else (or on its nearest analogues under a metric),
 delete one parameter at a time, restore it, and aggregate accuracy
 (categorical) or RMSE (continuous) per parameter and training regime.
 
-Reference results reported for the original 1073-reservoir dataset
-(for comparison only, that dataset is proprietary):
-
-  * Tectonic regime accuracy: 0.48 (all dataset) vs 0.85 (cosine) and
-    0.90 (filtering function);
-  * Gross RMSE: 399.92 (all dataset) vs 306.61 (weighted Gower);
-  * anomaly ROC-AUC over [Gross, Netpay, Porosity, Permeability, Depth]:
-    [0.85, 0.97, 0.8, 0.71, 0.7].
+The paper's figures for its 1073-reservoir dataset are in
+``REFERENCE_NOTES``; ``format_report`` prints them for comparison only.
 """
 from __future__ import annotations
 
@@ -25,16 +19,15 @@ from scipy.stats import rankdata
 
 from .dataset import CATEGORICAL, CONTINUOUS, Dataset, normalize_ranges, select_rows
 from .errors import EvaluationError, MixbnError, SimilarityError
-from .graph import EdgeConstraints
 from .inference import anomaly_score, restore, sanitize_evidence
-from .parameters import mixlearn
+from .parameters import BayesianNetworkModel, mixlearn
 from .similarity import (
     COSINE,
     FILTER,
     GOWER,
     GOWER_WEIGHTED,
     AnalogueQuery,
-    DistanceSpec,
+    metric_spec,
     nearest_analogues,
     penalty_weights,
 )
@@ -61,7 +54,6 @@ class EvalConfig:
     seed: int = 0
     anomaly_fraction: float = 0.10
     epsilon: float = 0.1
-    alpha: float = 1.0
     gower_weight: Optional[float] = None  # derived from penalties when None
     max_rows: Optional[int] = None  # evaluate a seeded row subsample
     train_on_perturbed: bool = False  # anomaly benchmark training set choice
@@ -121,40 +113,29 @@ def _derive_gower_weight(d: Dataset, cfg: EvalConfig) -> tuple[float, str]:
         return 1.0, "degenerate_fallback"
 
 
-def _train_model(
-    d: Dataset,
+def train_model(
     pool: Dataset,
     row: tuple,
     regime: str,
-    cfg: EvalConfig,
-    weight: float,
-):
+    n_analogues: int,
+    bins: int,
+    max_parents: int,
+    weight: Optional[float] = None,
+    epsilon: float = 0.1,
+) -> tuple[BayesianNetworkModel, list[int]]:
+    """Model for one record and the pool indices it was learned on.
+
+    ``all_dataset`` learns on the whole pool; a metric name learns on the
+    record's ``n_analogues`` nearest pool rows under ``metric_spec``.
+    """
     if regime == ALL_DATASET:
+        indices = list(range(pool.n_rows))
         train = pool
-        train_indices = list(range(pool.n_rows))
     else:
-        if regime == FILTER:
-            spec = DistanceSpec(FILTER, epsilon=cfg.epsilon)
-        elif regime == GOWER_WEIGHTED:
-            weights = {
-                c.name: (weight if c.kind == CONTINUOUS else 1.0) for c in d.schema
-            }
-            spec = DistanceSpec(GOWER_WEIGHTED, weights=weights)
-        else:
-            spec = DistanceSpec(regime)
-        idxs = nearest_analogues(
-            AnalogueQuery(tuple(row), spec, cfg.n_analogues), pool
-        )
-        train = select_rows(pool, idxs)
-        train_indices = idxs
-    model = mixlearn(
-        train,
-        constraints=EdgeConstraints(),
-        bins=cfg.bins,
-        max_parents=cfg.max_parents,
-        alpha=cfg.alpha,
-    )
-    return model, train_indices
+        spec = metric_spec(regime, pool, weight, epsilon)
+        indices = nearest_analogues(AnalogueQuery(row, spec, n_analogues), pool)
+        train = select_rows(pool, indices)
+    return mixlearn(train, bins=bins, max_parents=max_parents), indices
 
 
 def leave_one_out(
@@ -192,7 +173,9 @@ def leave_one_out(
         others = [i for i in range(d.n_rows) if i != t]
         pool = select_rows(d, others)
         for regime in cfg.regimes:
-            model, train_local = _train_model(d, pool, row, regime, cfg, weight)
+            model, train_local = train_model(
+                pool, row, regime, cfg.n_analogues, cfg.bins, cfg.max_parents, weight, cfg.epsilon
+            )
             if training_capture is not None:
                 training_capture(t, regime, [others[i] for i in train_local])
             for p_idx, p in enumerate(params):
@@ -277,12 +260,7 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
             train = perturbed
         else:
             train = select_rows(d, [i for i in range(d.n_rows) if i not in injected])
-        model = mixlearn(
-            train,
-            bins=cfg.bins,
-            max_parents=cfg.max_parents,
-            alpha=cfg.alpha,
-        )
+        model = mixlearn(train, bins=cfg.bins, max_parents=cfg.max_parents)
         scores: list[float] = []
         labels: list[bool] = []
         for i in present:

@@ -27,7 +27,7 @@ from .dataset import (
 )
 from .errors import ParameterError
 from .graph import Dag, EdgeConstraints
-from .structure import FamilyScoreCache, hill_climb, orientation_guard
+from .structure import hill_climb, orientation_guard
 
 # near-flat prior precision for the regression coefficients; keeps the fit
 # defined on rank-deficient subsamples without visibly shrinking good data
@@ -213,13 +213,7 @@ def mixlearn(
         raise ParameterError("cannot learn from an empty dataset")
     disc_d, _ = quantile_discretize(d, bins)
     guard = orientation_guard(d.schema)
-    dag = hill_climb(
-        disc_d,
-        constraints=constraints,
-        max_parents=max_parents,
-        forbidden=guard,
-        cache=FamilyScoreCache(),
-    )
+    dag = hill_climb(disc_d, constraints=constraints, max_parents=max_parents, forbidden=guard)
     kinds = {c.name: c.kind for c in d.schema}
     distributions: dict[str, Distribution] = {}
     for node in dag.nodes:

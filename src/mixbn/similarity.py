@@ -35,7 +35,7 @@ class DistanceSpec:
 
     def __post_init__(self):
         if self.metric not in METRICS:
-            raise SimilarityError(f"unknown metric {self.metric!r}")
+            raise SimilarityError(f"unknown metric {self.metric!r} (choose from {list(METRICS)})")
         if any(w < 0 for w in self.weights.values()):
             raise SimilarityError("weights must be non-negative")
         if self.metric == FILTER:
@@ -151,43 +151,52 @@ def filter_analogues(target: Row, pool: Dataset, epsilon: float, n: int) -> list
     variables; levels are emitted in order until n rows are collected,
     rows within a level ordered by (close count desc, row index asc).
     """
-    if not 0 < epsilon <= 1:
-        raise SimilarityError(f"epsilon must be in (0, 1], got {epsilon}")
-    if pool.n_rows < n:
-        raise SimilarityError(f"pool of {pool.n_rows} rows cannot supply {n} analogues")
-    ranges = normalize_ranges(pool)
-    counts = [
-        _close_count(target, row, pool.schema, ranges, epsilon) for row in pool.rows
-    ]
-    order = sorted(range(pool.n_rows), key=lambda i: (-counts[i], i))
-    return order[:n]
+    return nearest_analogues(AnalogueQuery(target, DistanceSpec(FILTER, epsilon=epsilon), n), pool)
 
 
 def nearest_analogues(q: AnalogueQuery, pool: Dataset) -> list[int]:
     """Ranked indices of the n nearest pool rows under the query's metric.
 
-    The caller is responsible for excluding the target itself from the
-    pool (leave-one-out discipline).
+    Rows sort by (key, row index): the distance for gower, gower_weighted
+    and cosine, minus the close count for filter.  Continuous ranges come
+    from the spec, or from the pool when the spec has none.  The caller is
+    responsible for excluding the target itself from the pool
+    (leave-one-out discipline).
     """
     if pool.n_rows < q.n_analogues:
         raise SimilarityError(
             f"pool of {pool.n_rows} rows cannot supply {q.n_analogues} analogues"
         )
-    spec = q.spec
+    spec, target, schema = q.spec, q.target, pool.schema
     ranges = spec.ranges if spec.ranges is not None else normalize_ranges(pool)
     if spec.metric == FILTER:
-        return filter_analogues(q.target, pool, spec.epsilon, q.n_analogues)
-    if spec.metric == COSINE:
-        dists = [
-            cosine_distance(row, q.target, pool.schema, ranges) for row in pool.rows
-        ]
+        keys = [-_close_count(target, row, schema, ranges, spec.epsilon) for row in pool.rows]
+    elif spec.metric == COSINE:
+        keys = [cosine_distance(row, target, schema, ranges) for row in pool.rows]
     else:
         resolved = DistanceSpec(spec.metric, dict(spec.weights), None, ranges)
-        dists = [
-            gower_distance(row, q.target, pool.schema, resolved) for row in pool.rows
-        ]
-    order = sorted(range(pool.n_rows), key=lambda i: (dists[i], i))
+        keys = [gower_distance(row, target, schema, resolved) for row in pool.rows]
+    order = sorted(range(pool.n_rows), key=lambda i: (keys[i], i))
     return order[: q.n_analogues]
+
+
+def metric_spec(
+    metric: str, pool: Dataset, weight: Optional[float] = None, epsilon: float = 0.1
+) -> DistanceSpec:
+    """The spec a metric name selects; ``gower-weighted`` spells ``gower_weighted``.
+
+    gower_weighted weighs continuous columns by ``weight`` and categorical
+    ones by 1.  Without a weight it uses the pool's penalty ratio, which
+    raises SimilarityError on a degenerate pool.  ``epsilon`` reaches the
+    filter metric only.
+    """
+    name = metric.replace("-", "_")
+    weights = {}
+    if name == GOWER_WEIGHTED:
+        if weight is None:
+            _, weight = penalty_weights(pool)
+        weights = {c.name: (weight if c.kind == CONTINUOUS else 1.0) for c in pool.schema}
+    return DistanceSpec(name, weights=weights, epsilon=epsilon if name == FILTER else None)
 
 
 def penalty_weights(pool: Dataset, seed: int = 0) -> tuple[dict[str, Optional[float]], float]:

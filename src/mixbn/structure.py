@@ -147,7 +147,6 @@ def hill_climb(
     constraints: Optional[EdgeConstraints] = None,
     max_parents: int = 4,
     forbidden: Optional[ForbiddenPredicate] = None,
-    cache: Optional[FamilyScoreCache] = None,
 ) -> Dag:
     """Steepest-ascent hill climbing over DAGs under the K2 score.
 
@@ -162,7 +161,7 @@ def hill_climb(
     if max_parents < 1:
         raise StructureError(f"max_parents must be >= 1, got {max_parents}")
     enc = _Encoded(d)
-    cache = cache or FamilyScoreCache()
+    cache = FamilyScoreCache()
     nodes = d.names
     idx = {n: i for i, n in enumerate(nodes)}
 

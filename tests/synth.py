@@ -125,3 +125,19 @@ def reservoir_like_dataset(seed: int, n_rows: int = 90) -> Dataset:
     return cluster_dataset(
         seed, n_rows, cat_names=RESERVOIR_CAT, cont_names=RESERVOIR_CONT
     )
+
+
+def flat_continuous_dataset(n_rows: int = 24) -> Dataset:
+    """Two varying categorical columns beside two constant continuous ones.
+
+    Every continuous pairwise penalty is zero, so ``penalty_weights``
+    finds any pool of these rows degenerate.
+    """
+    schema = (
+        ColumnSchema("K", CATEGORICAL),
+        ColumnSchema("L", CATEGORICAL),
+        ColumnSchema("V", CONTINUOUS),
+        ColumnSchema("W", CONTINUOUS),
+    )
+    rows = tuple((("a", "b", "c")[i % 3], ("x", "y")[i % 2], 5.0, 1.0) for i in range(n_rows))
+    return Dataset(schema, rows)

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from synth import cluster_dataset
+from synth import cluster_dataset, flat_continuous_dataset
 
 from mixbn.cli import main
+from mixbn.dataset import load_csv, load_schema
+from mixbn.evaluation import ALL_DATASET, train_model
+from mixbn.inference import restore
 from mixbn.model_io import load as load_model
 
 
@@ -113,6 +116,24 @@ class TestRestore:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("metric", [None, "gower", "gower-weighted", "cosine", "filter"])
+    def test_data_restore_runs_the_shared_train_step(self, small_data, tmp_path, metric):
+        csv, schema = small_data
+        d = load_csv(csv, load_schema(schema))
+        record = {c.name: v for c, v in zip(d.schema, d.rows[5])}
+        record["C2"] = None
+        record["X4"] = None
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps(record))
+        out = tmp_path / "restored.json"
+        argv = ["restore", "--data", csv, "--schema", schema, "--record", str(rec_path),
+                "--n-analogues", "20", "--samples", "50", "--seed", "4", "--out", str(out)]
+        assert main(argv + (["--metric", metric] if metric else [])) == 0
+        row = tuple(record[c.name] for c in d.schema)
+        model, _ = train_model(d, row, metric or ALL_DATASET, 20, bins=5, max_parents=4)
+        expected = restore(model, record, 50, 4)
+        assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
     def test_nothing_missing_fails(self, small_data, tmp_path, capsys):
         csv, schema = small_data
         model_path = tmp_path / "model.json"
@@ -149,6 +170,18 @@ class TestAnalogues:
         assert main(["analogues", "--data", csv, "--schema", schema,
                      "--record", str(rec_path), "--metric", "gower-weighted",
                      "--n-analogues", "5", "--out", str(out)]) == 0
+
+
+class TestDegeneratePool:
+    @pytest.mark.parametrize("command", ["analogues", "restore"])
+    def test_derived_gower_weight_is_an_input_error(self, tmp_path, capsys, command):
+        csv, schema = write_dataset(tmp_path, flat_continuous_dataset())
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps({"K": "a", "L": None, "V": 5.0, "W": 1.0}))
+        assert main([command, "--data", csv, "--schema", schema, "--record", str(rec_path),
+                     "--metric", "gower-weighted", "--n-analogues", "5",
+                     "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: degenerate pool")
 
 
 class TestAnomalies:

@@ -89,9 +89,9 @@ class TestDatasetInvariants:
 class TestQuantileDiscretize:
     def test_median_split(self):
         d = make([("B", CONTINUOUS)], [(v,) for v in [1.0, 2.0, 3.0, 4.0]])
-        dd, dmap = quantile_discretize(d, 2)
+        dd, edges = quantile_discretize(d, 2)
         assert [r[0] for r in dd.rows] == ["0", "0", "1", "1"]
-        assert dmap.edges["B"] == (2.0,)
+        assert edges["B"] == (2.0,)
 
     def test_degenerate_constant_column(self):
         d = make([("B", CONTINUOUS)], [(5.0,)] * 4)

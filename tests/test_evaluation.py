@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from synth import clg5_dataset, cluster_dataset
+from synth import clg5_dataset, cluster_dataset, flat_continuous_dataset
 
 from mixbn.dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset
 from mixbn.errors import EvaluationError
@@ -14,7 +14,9 @@ from mixbn.evaluation import (
     leave_one_out,
     roc_auc,
     run_eval,
+    train_model,
 )
+from mixbn.similarity import AnalogueQuery, DistanceSpec, filter_analogues, nearest_analogues
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -127,10 +129,28 @@ class TestLeaveOneOut:
                 wins += 1
         assert wins >= 4
 
+    def test_degenerate_pool_falls_back_to_unit_gower_weight(self):
+        d = flat_continuous_dataset()
+        rep = leave_one_out(d, small_config(regimes=("gower_weighted",), max_rows=3))
+        assert rep.metadata["gower_weight_source"] == "degenerate_fallback"
+        assert rep.metadata["gower_weight"] == 1.0
+
     def test_too_few_rows_rejected(self):
         d = cluster_dataset(7, 8)
         with pytest.raises(EvaluationError):
             leave_one_out(d, small_config(n_analogues=10))
+
+
+class TestTrainModel:
+    def test_training_rows_follow_the_regime(self):
+        d = cluster_dataset(10, 40)
+        row = d.rows[0]
+        _, idx = train_model(d, row, "all_dataset", 10, bins=3, max_parents=4)
+        assert idx == list(range(40))
+        _, idx = train_model(d, row, "gower", 10, bins=3, max_parents=4)
+        assert idx == nearest_analogues(AnalogueQuery(row, DistanceSpec("gower"), 10), d)
+        _, idx = train_model(d, row, "filter", 10, bins=3, max_parents=4, epsilon=0.3)
+        assert idx == filter_analogues(row, d, 0.3, 10)
 
 
 class TestAnomalyBenchmark:

@@ -12,6 +12,7 @@ from mixbn.similarity import (
     cosine_distance,
     filter_analogues,
     gower_distance,
+    metric_spec,
     nearest_analogues,
     penalty_weights,
 )
@@ -216,6 +217,15 @@ class TestNearestAnalogues:
         q = AnalogueQuery(target, DistanceSpec("gower"), 10)
         assert nearest_analogues(q, pool) == oracle
 
+    def test_filter_honours_explicit_ranges(self):
+        pool = Dataset(MIXED, (("x", 0.0), ("t", 10.0), ("t", 100.0)))
+        target = ("t", 0.0)
+        own = DistanceSpec("filter", epsilon=0.5)
+        given = DistanceSpec("filter", epsilon=0.5, ranges={"V": (0.0, 10.0)})
+        # the pool's own V range is 100, so only |dV| <= 50 counts as close
+        assert nearest_analogues(AnalogueQuery(target, own, 3), pool) == [1, 0, 2]
+        assert nearest_analogues(AnalogueQuery(target, given, 3), pool) == [0, 1, 2]
+
     def test_weight_rescaling_rank_invariance(self):
         rng = random.Random(21)
         rows = tuple(
@@ -231,6 +241,28 @@ class TestNearestAnalogues:
             25,
         )
         assert nearest_analogues(q1, pool) == nearest_analogues(q2, pool)
+
+
+class TestMetricSpec:
+    POOL = Dataset(MIXED, (("a", 0.0), ("b", 10.0), ("c", 5.0), ("d", 5.0)))
+
+    def test_both_spellings_select_gower_weighted(self):
+        hyphen = metric_spec("gower-weighted", self.POOL, weight=3.0)
+        assert hyphen == metric_spec("gower_weighted", self.POOL, weight=3.0)
+        assert hyphen.metric == "gower_weighted"
+        assert hyphen.weights == {"K": 1.0, "V": 3.0}
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(SimilarityError):
+            metric_spec("euclid", self.POOL)
+
+    def test_weight_derived_from_penalty_ratio(self):
+        _, ratio = penalty_weights(self.POOL)
+        assert metric_spec("gower_weighted", self.POOL).weights == {"K": 1.0, "V": ratio}
+
+    def test_epsilon_reaches_the_filter_metric_only(self):
+        assert metric_spec("filter", self.POOL, epsilon=0.3).epsilon == 0.3
+        assert metric_spec("gower", self.POOL, epsilon=0.3).epsilon is None
 
 
 class TestPenaltyWeights:
