@@ -72,6 +72,9 @@ def _expert_constraints(args) -> EdgeConstraints:
         return EdgeConstraints()
     with open(args.expert_edges) as fh:
         edges = json.load(fh)
+    pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
+    if not pairs or not all(isinstance(v, str) for e in edges for v in e):
+        raise MixbnError(f"{args.expert_edges}: expected a JSON list of [parent, child] pairs")
     return EdgeConstraints(
         frozenset((p, c) for p, c in edges),
         removable=bool(getattr(args, "allow_remove_expert_edges", False)),

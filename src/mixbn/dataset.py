@@ -77,6 +77,14 @@ class Dataset:
         return [row[j] for row in self.rows]
 
 
+def _checked(schema: tuple[ColumnSchema, ...], rows: tuple[tuple, ...]) -> Dataset:
+    """A Dataset built from cells of already-checked Datasets, without re-checking them."""
+    d = object.__new__(Dataset)
+    object.__setattr__(d, "schema", schema)
+    object.__setattr__(d, "rows", rows)
+    return d
+
+
 def _check_value(v: Value, col: ColumnSchema, row_idx: int) -> Value:
     if v is None:
         return None
@@ -201,7 +209,7 @@ def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, dict[str, tuple
                 for j, v in enumerate(row)
             )
         )
-    return Dataset(new_schema, tuple(new_rows)), edges
+    return _checked(new_schema, tuple(new_rows)), edges
 
 
 def normalize_ranges(d: Dataset) -> dict[str, Optional[tuple[float, float]]]:
@@ -225,4 +233,4 @@ def select_rows(d: Dataset, indices: Iterable[int]) -> Dataset:
         if not 0 <= i < d.n_rows:
             raise DatasetError(f"row index {i} out of range [0, {d.n_rows})")
         rows.append(d.rows[i])
-    return Dataset(d.schema, tuple(rows))
+    return _checked(d.schema, tuple(rows))

@@ -66,6 +66,8 @@ class EvalConfig:
                 raise EvaluationError(f"unknown regime {r!r}")
         if not 0 < self.anomaly_fraction < 1:
             raise EvaluationError("anomaly_fraction must be in (0, 1)")
+        if self.m_samples < 1 or self.n_analogues < 1:
+            raise EvaluationError("m_samples and n_analogues must be at least 1")
 
 
 @dataclass

@@ -10,28 +10,15 @@ their whole-column parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .dataset import CATEGORICAL, CONTINUOUS, Value
 from .errors import InferenceError
-from .parameters import (
-    BayesianNetworkModel,
-    ConditionalLinearGaussian,
-    Cpt,
-    LinearGaussian,
-)
+from .parameters import BayesianNetworkModel, ConditionalLinearGaussian, Cpt
 
 Evidence = Mapping[str, Value]
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Per-node sample columns; every column has the same length."""
-
-    columns: Mapping[str, list]
 
 
 def validate_evidence(model: BayesianNetworkModel, ev: Evidence) -> None:
@@ -44,11 +31,10 @@ def validate_evidence(model: BayesianNetworkModel, ev: Evidence) -> None:
         if kind == CATEGORICAL:
             if not isinstance(value, str):
                 raise InferenceError(f"evidence for categorical {name!r} must be a label")
-            dist = model.distributions[name]
-            if isinstance(dist, Cpt) and value not in dist.states:
+            states = model.distributions[name].states
+            if value not in states:
                 raise InferenceError(
-                    f"evidence label {value!r} unknown to node {name!r} "
-                    f"(known: {list(dist.states)})"
+                    f"evidence label {value!r} unknown to node {name!r} (known: {list(states)})"
                 )
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -79,10 +65,10 @@ def sanitize_evidence(
 
 def forward_sample(
     model: BayesianNetworkModel, ev: Evidence, m: int, seed: int
-) -> SampleSet:
+) -> dict[str, list]:
     """Draw m ancestral samples with evidence nodes clamped.
 
-    The seed fully determines the output.
+    Returns one column of m values per node; the seed fully determines it.
     """
     if m <= 0:
         raise InferenceError(f"sample count must be positive, got {m}")
@@ -99,7 +85,7 @@ def forward_sample(
                 value = _draw(model, node, current, rng)
             current[node] = value
             columns[node].append(value)
-    return SampleSet(columns)
+    return columns
 
 
 def _draw(model: BayesianNetworkModel, node: str, current: Mapping[str, Value], rng) -> Value:
@@ -150,7 +136,7 @@ def restore(
     samples = forward_sample(model, ev, m, seed)
     out: dict[str, Value] = dict(record)
     for node in missing:
-        drawn = samples.columns[node]
+        drawn = samples[node]
         if model.node_kind[node] == CATEGORICAL:
             counts: dict[str, int] = {}
             for v in drawn:
@@ -182,7 +168,7 @@ def anomaly_score(
         raise InferenceError(f"target {target!r} is missing in the record")
     ev = {k: v for k, v in record.items() if k != target and v is not None}
     samples = forward_sample(model, ev, m, seed)
-    drawn = np.asarray(samples.columns[target], dtype=float)
+    drawn = np.asarray(samples[target], dtype=float)
     mean = float(drawn.mean())
     std = float(drawn.std())
     if std == 0.0:

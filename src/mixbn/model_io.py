@@ -2,9 +2,11 @@
 
 Layout::
 
-    {"nodes": [{"name", "kind", "parents": [...], "distribution": {...}}, ...],
-     "edges": [[parent, child], ...],
-     "bins": b, "alpha": a}
+    {"nodes": [{"name", "kind", "parents": [...], "distribution": {...}}, ...]}
+
+The graph is the nodes' ordered ``"parents"`` lists.  The loader reads
+only the keys a model needs, so older files with extra keys still load; a
+missing key or a wrong-shaped entry raises ``ParameterError``.
 
 Association keys (parent-label tuples) are JSON-encoded label lists,
 e.g. ``'["a", "b"]'`` and ``'[]'`` for a parentless row, so any label
@@ -40,23 +42,13 @@ def _split_key(key: str) -> tuple[str, ...]:
 
 
 def _lg_to_dict(lg: LinearGaussian) -> dict:
-    return {
-        "intercept": lg.intercept,
-        "coefficients": dict(lg.coefficients),
-        "residual_variance": lg.residual_variance,
-        "marginal_mean": lg.marginal_mean,
-        "marginal_variance": lg.marginal_variance,
-    }
+    return {"intercept": lg.intercept, "coefficients": dict(lg.coefficients),
+            "residual_variance": lg.residual_variance}
 
 
 def _lg_from_dict(obj: dict) -> LinearGaussian:
-    return LinearGaussian(
-        obj["intercept"],
-        dict(obj["coefficients"]),
-        obj["residual_variance"],
-        obj["marginal_mean"],
-        obj["marginal_variance"],
-    )
+    coefficients = {p: float(c) for p, c in obj["coefficients"].items()}
+    return LinearGaussian(float(obj["intercept"]), coefficients, float(obj["residual_variance"]))
 
 
 def _distribution_to_dict(dist) -> dict:
@@ -82,7 +74,7 @@ def _distribution_from_dict(obj: dict):
     if kind == "cpt":
         return Cpt(
             tuple(obj["states"]),
-            {_split_key(k): tuple(v) for k, v in obj["table"].items()},
+            {_split_key(k): tuple(map(float, v)) for k, v in obj["table"].items()},
         )
     if kind == "clg":
         return ConditionalLinearGaussian(
@@ -105,21 +97,20 @@ def model_to_dict(model: BayesianNetworkModel) -> dict:
                 "distribution": _distribution_to_dict(model.distributions[name]),
             }
         )
-    edges = sorted(model.dag.edges)
-    return {
-        "nodes": nodes,
-        "edges": [list(e) for e in edges],
-        "bins": model.bins,
-        "alpha": model.alpha,
-    }
+    return {"nodes": nodes}
 
 
 def model_from_dict(obj: dict) -> BayesianNetworkModel:
-    names = tuple(n["name"] for n in obj["nodes"])
-    dag = Dag(names, frozenset((p, c) for p, c in obj["edges"]))
-    kinds = {n["name"]: n["kind"] for n in obj["nodes"]}
-    dists = {n["name"]: _distribution_from_dict(n["distribution"]) for n in obj["nodes"]}
-    return BayesianNetworkModel(dag, kinds, dists, obj["bins"], obj["alpha"])
+    try:
+        names = tuple(n["name"] for n in obj["nodes"])
+        edges = frozenset((p, n["name"]) for n in obj["nodes"] for p in n["parents"])
+        kinds = {n["name"]: n["kind"] for n in obj["nodes"]}
+        dists = {n["name"]: _distribution_from_dict(n["distribution"]) for n in obj["nodes"]}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        if isinstance(exc, ParameterError):
+            raise
+        raise ParameterError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
+    return BayesianNetworkModel(Dag(names, edges), kinds, dists)
 
 
 def dumps(model: BayesianNetworkModel) -> str:

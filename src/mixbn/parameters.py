@@ -58,13 +58,14 @@ class LinearGaussian:
     intercept: float
     coefficients: Mapping[str, float]
     residual_variance: float
-    marginal_mean: float
-    marginal_variance: float
 
 
 @dataclass(frozen=True)
 class ConditionalLinearGaussian:
-    """Linear-Gaussian parameters per observed discrete-parent combination."""
+    """Linear-Gaussian parameters per fitted discrete-parent combination.
+
+    Any combination not in the table uses the fallback.
+    """
 
     table: Mapping[tuple[str, ...], LinearGaussian]
     fallback: LinearGaussian
@@ -81,13 +82,23 @@ class BayesianNetworkModel:
     dag: Dag
     node_kind: Mapping[str, str]
     distributions: Mapping[str, Distribution]
-    bins: int = 5
-    alpha: float = 1.0
 
     def __post_init__(self):
+        """Each node needs a distribution that fits its kind and its parents in the graph."""
+        kind = self.node_kind.get
         for node in self.dag.nodes:
-            if node not in self.distributions:
-                raise ParameterError(f"node {node!r} has no distribution")
+            dist, parents = self.distributions.get(node), self.dag.parents(node)
+            disc = {p for p in parents if kind(p) == CATEGORICAL}
+            if kind(node) == CATEGORICAL:
+                fits, lgs = isinstance(dist, Cpt) and disc == parents, ()
+            elif isinstance(dist, ConditionalLinearGaussian):
+                fits, lgs = kind(node) == CONTINUOUS, (dist.fallback, *dist.table.values())
+            else:
+                fits, lgs = kind(node) == CONTINUOUS and isinstance(dist, LinearGaussian) and not disc, (dist,)
+            # table keys hold one label per categorical parent; coefficients name continuous parents
+            fits = fits and all(len(key) == len(disc) for key in getattr(dist, "table", ()))
+            if not fits or any(set(lg.coefficients) - (parents - disc) for lg in lgs):
+                raise ParameterError(f"node {node!r} has no distribution that fits its kind and parents")
 
     def parents_in_order(self, node: str) -> list[str]:
         """Parents of node in schema (declaration) order."""
@@ -135,7 +146,7 @@ def fit_linear_gaussian(d: Dataset, child: str, parents: Sequence[str]) -> Linea
     """Posterior-mean ridge regression of child on its continuous parents.
 
     Intercept unpenalized; population (divide-by-n) variance convention
-    for both residual and marginal variance.
+    for the residual variance.
     """
     for name in (child, *parents):
         if d.kind(name) != CONTINUOUS:
@@ -147,25 +158,20 @@ def fit_linear_gaussian(d: Dataset, child: str, parents: Sequence[str]) -> Linea
         )
     ci = d.col_index(child)
     y = np.array([row[ci] for row in rows], dtype=float)
-    marginal_mean = float(y.mean())
-    marginal_variance = float(y.var())
+    y_mean = float(y.mean())
     if not parents:
-        return LinearGaussian(marginal_mean, {}, marginal_variance, marginal_mean, marginal_variance)
+        return LinearGaussian(y_mean, {}, float(y.var()))
     pis = [d.col_index(p) for p in parents]
     x = np.array([[row[j] for j in pis] for row in rows], dtype=float)
     x_mean = x.mean(axis=0)
     xc = x - x_mean
-    yc = y - marginal_mean
+    yc = y - y_mean
     gram = xc.T @ xc + RIDGE_LAMBDA * np.eye(len(parents))
     beta = np.linalg.solve(gram, xc.T @ yc)
-    intercept = marginal_mean - float(x_mean @ beta)
+    intercept = y_mean - float(x_mean @ beta)
     residuals = yc - xc @ beta
     return LinearGaussian(
-        intercept,
-        {p: float(b) for p, b in zip(parents, beta)},
-        float(np.mean(residuals**2)),
-        marginal_mean,
-        marginal_variance,
+        intercept, {p: float(b) for p, b in zip(parents, beta)}, float(np.mean(residuals**2))
     )
 
 
@@ -177,8 +183,8 @@ def fit_conditional_linear_gaussian(
 ) -> ConditionalLinearGaussian:
     """One linear-Gaussian per observed discrete-parent combination.
 
-    Combinations with fewer than 2 usable rows reuse the fallback, which
-    is fitted on all rows.
+    Combinations with fewer than 2 usable rows are left out of the table
+    and use the fallback, which is fitted on all rows.
     """
     if d.kind(child) != CONTINUOUS:
         raise ParameterError(f"column {child!r} is not continuous")
@@ -197,7 +203,7 @@ def fit_conditional_linear_gaussian(
         try:
             table[combo] = fit_linear_gaussian(sub, child, continuous_parents)
         except ParameterError:
-            table[combo] = fallback
+            pass  # too few usable rows: the combination uses the fallback
     return ConditionalLinearGaussian(table, fallback)
 
 
@@ -206,7 +212,6 @@ def mixlearn(
     constraints: Optional[EdgeConstraints] = None,
     bins: int = 5,
     max_parents: int = 4,
-    alpha: float = 1.0,
 ) -> BayesianNetworkModel:
     """Full pipeline: discretize, learn structure, fit parameters on raw data."""
     if d.n_rows == 0:
@@ -219,7 +224,7 @@ def mixlearn(
     for node in dag.nodes:
         parents = [n for n in dag.nodes if n in dag.parents(node)]
         if kinds[node] == CATEGORICAL:
-            distributions[node] = fit_cpt(d, node, parents, alpha)
+            distributions[node] = fit_cpt(d, node, parents)
         else:
             disc = [p for p in parents if kinds[p] == CATEGORICAL]
             cont = [p for p in parents if kinds[p] == CONTINUOUS]
@@ -227,4 +232,4 @@ def mixlearn(
                 distributions[node] = fit_conditional_linear_gaussian(d, node, disc, cont)
             else:
                 distributions[node] = fit_linear_gaussian(d, node, cont)
-    return BayesianNetworkModel(dag, kinds, distributions, bins, alpha)
+    return BayesianNetworkModel(dag, kinds, distributions)

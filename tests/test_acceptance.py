@@ -236,7 +236,7 @@ def test_sampling_contracts(capsys):
     )
     # observed values are clamped exactly in every draw
     ss = forward_sample(model, {"A": "c", "B": "b"}, 50, seed=0)
-    if ss.columns["A"] != ["c"] * 50 or ss.columns["B"] != ["b"] * 50:
+    if ss["A"] != ["c"] * 50 or ss["B"] != ["b"] * 50:
         ok = False
 
     # root frequencies sit inside the binomial envelope on almost every seed
@@ -244,7 +244,7 @@ def test_sampling_contracts(capsys):
     env = 4 * math.sqrt(0.5 * 0.5 / m)
     inside = 0
     for seed in range(20):
-        freq = forward_sample(model, {}, m, seed=seed).columns["A"].count("a") / m
+        freq = forward_sample(model, {}, m, seed=seed)["A"].count("a") / m
         inside += abs(freq - 0.5) <= env
     if inside < 19:
         ok = False
@@ -255,12 +255,12 @@ def test_sampling_contracts(capsys):
         lg_dag,
         {"X": CONTINUOUS, "Y": CONTINUOUS},
         {
-            "X": LinearGaussian(0.0, {}, 1.0, 0.0, 1.0),
-            "Y": LinearGaussian(3.0, {"X": 0.5}, 0.04, 0.0, 1.0),
+            "X": LinearGaussian(0.0, {}, 1.0),
+            "Y": LinearGaussian(3.0, {"X": 0.5}, 0.04),
         },
     )
     m2 = 2000
-    ys = forward_sample(lg, {"X": 4.0}, m2, seed=3).columns["Y"]
+    ys = forward_sample(lg, {"X": 4.0}, m2, seed=3)["Y"]
     mean = sum(ys) / m2
     if abs(mean - 5.0) > 3 * (0.2 / math.sqrt(m2)):
         ok = False

@@ -71,6 +71,15 @@ class TestLearn:
                      "--expert-edges", str(edges), "--out", str(out)]) == 1
         assert "cycle" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("edges", [[["C1", "C2", "C3"]], {"C1": "C2"}, "C1C2"])
+    def test_malformed_expert_edges_are_an_input_error(self, small_data, tmp_path, capsys, edges):
+        csv, schema = small_data
+        path = tmp_path / "edges.json"
+        path.write_text(json.dumps(edges))
+        assert main(["learn", "--data", csv, "--schema", schema,
+                     "--expert-edges", str(path), "--out", str(tmp_path / "model.json")]) == 1
+        assert "[parent, child] pairs" in capsys.readouterr().err
+
     def test_model_file_round_trips_byte_identically(self, small_data, tmp_path):
         csv, schema = small_data
         out = tmp_path / "model.json"
@@ -217,6 +226,13 @@ class TestEval:
             assert p in report["roc_auc"]
         text = capsys.readouterr().out
         assert "Reference results" in text
+
+
+    def test_zero_samples_is_an_input_error(self, tmp_path, capsys):
+        csv, schema = write_dataset(tmp_path, cluster_dataset(2, 50))
+        assert main(["eval", "--data", csv, "--schema", schema, "--samples", "0",
+                     "--out", str(tmp_path / "report.json")]) == 1
+        assert "m_samples" in capsys.readouterr().err
 
 
 class TestExportDot:

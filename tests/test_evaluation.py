@@ -76,6 +76,14 @@ def small_config(**kw):
     return EvalConfig(**defaults)
 
 
+class TestEvalConfig:
+    @pytest.mark.parametrize("field", ["m_samples", "n_analogues"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(EvaluationError):
+            small_config(**{field: value})
+
+
 class TestLeaveOneOut:
     def test_identical_rows_are_perfectly_restored(self):
         schema = (ColumnSchema("K", CATEGORICAL), ColumnSchema("V", CONTINUOUS))

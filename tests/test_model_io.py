@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,11 @@ from hypothesis import strategies as st
 
 from synth import clg5_dataset, cluster_dataset
 
+from mixbn.cli import main
 from mixbn.dataset import CATEGORICAL, CONTINUOUS
-from mixbn.errors import ParameterError
+from mixbn.errors import CycleError, GraphError, ParameterError
 from mixbn.graph import Dag
+from mixbn.inference import restore
 from mixbn.model_io import dumps, loads, model_from_dict
 from mixbn.parameters import (
     BayesianNetworkModel,
@@ -32,13 +35,11 @@ class TestRoundTrip:
         assert back.dag.nodes == model.dag.nodes
         assert back.dag.edges == model.dag.edges
         assert dict(back.node_kind) == dict(model.node_kind)
-        assert back.bins == model.bins
-        assert back.alpha == model.alpha
 
     def test_top_level_layout(self):
         model = mixlearn(clg5_dataset(2, 200), bins=4)
         obj = json.loads(dumps(model))
-        assert set(obj) == {"nodes", "edges", "bins", "alpha"}
+        assert set(obj) == {"nodes"}
         for node in obj["nodes"]:
             assert set(node) == {"name", "kind", "parents", "distribution"}
             assert node["distribution"]["type"] in ("cpt", "lg", "clg")
@@ -69,8 +70,6 @@ def linear_gaussians(draw, parents):
         draw(finite),
         {p: draw(finite) for p in parents},
         draw(positive),
-        draw(finite),
-        draw(positive),
     )
 
 
@@ -98,8 +97,6 @@ def models(draw):
                 draw(linear_gaussians(["Y"])),
             ),
         },
-        draw(st.integers(2, 10)),
-        draw(positive),
     )
 
 
@@ -136,3 +133,106 @@ class TestDelimiterSafety:
                     "alpha": 1.0,
                 }
             )
+
+
+# written by mixbn before the model file lost its "edges", "bins", "alpha"
+# and "marginal_*" keys: mixlearn(clg5_dataset(0, 300), bins=4)
+OLD_LAYOUT = Path(__file__).parent / "data" / "clg5_model_old_layout.json"
+
+
+def records(n):
+    """Rows of a fresh clg5 table with one or two fields blanked."""
+    d = clg5_dataset(7, n)
+    out = []
+    for i, row in enumerate(d.rows):
+        record = dict(zip(d.names, row))
+        for name in d.names[i % 5: i % 5 + 1 + i % 2]:
+            record[name] = None
+        out.append(record)
+    return out
+
+
+class TestOldLayout:
+    def test_file_from_the_old_layout_loads_and_restores_the_same(self):
+        obj = json.loads(OLD_LAYOUT.read_text())
+        assert {"edges", "bins", "alpha"} <= set(obj)
+        old = model_from_dict(obj)
+        fresh = mixlearn(clg5_dataset(0, 300), bins=4)
+        assert old.dag == fresh.dag
+        for i, record in enumerate(records(8)):
+            assert restore(old, record, 50, i) == restore(fresh, record, 50, i)
+
+
+def node(obj, name):
+    return next(n for n in obj["nodes"] if n["name"] == name)
+
+
+def set_key(path_of, value):
+    """Mutation that sets obj[...][key] = value at the dict path_of(obj) returns."""
+    def mutate(obj):
+        target, key = path_of(obj)
+        target[key] = value
+    return mutate
+
+
+def rekey(name, old, new):
+    def mutate(obj):
+        table = node(obj, name)["distribution"]["table"]
+        table[new] = table.pop(old)
+    return mutate
+
+
+# the clg5 model is A, B -> CPT roots; X | A and Y | A, B, X -> CLG; Z | Y -> LG
+INVALID = {
+    "coefficient on a non-parent": set_key(lambda o: (node(o, "Z")["distribution"]["coefficients"], "X"), 10.0),
+    "coefficient on the node itself": set_key(lambda o: (node(o, "Z")["distribution"]["coefficients"], "Z"), 1.0),
+    "fallback coefficient on a child": set_key(
+        lambda o: (node(o, "Y")["distribution"]["fallback"]["coefficients"], "Z"), 1.0),
+    "root CPT keyed by one label": rekey("A", "[]", '["a0"]'),
+    "CLG key missing a label": rekey("Y", '["a0", "b0"]', '["a0"]'),
+    "categorical node with a Gaussian": set_key(
+        lambda o: (node(o, "A"), "distribution"), {"type": "lg", "intercept": 0.0,
+                                                  "coefficients": {}, "residual_variance": 1.0}),
+    "CPT with a continuous parent": set_key(lambda o: (node(o, "B"), "parents"), ["X"]),
+    "LG with a categorical parent": set_key(lambda o: (node(o, "Z"), "parents"), ["A", "Y"]),
+    "empty file": lambda obj: obj.clear(),
+    "node without a kind": lambda obj: node(obj, "A").pop("kind"),
+    "nodes not a list of objects": set_key(lambda o: (o, "nodes"), "AB"),
+    "coefficients not an object": set_key(lambda o: (node(o, "Z")["distribution"], "coefficients"), [1.0]),
+    "intercept not a number": set_key(lambda o: (node(o, "Z")["distribution"], "intercept"), "abc"),
+    "probabilities not a list": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), 1.0),
+}
+
+
+class TestInvalidModels:
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_rejected_on_load(self, case):
+        obj = json.loads(OLD_LAYOUT.read_text())
+        model_from_dict(obj)  # the unmutated file is valid
+        INVALID[case](obj)
+        with pytest.raises(ParameterError):
+            model_from_dict(obj)
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_cli_restore_exits_1(self, case, tmp_path, capsys):
+        obj = json.loads(OLD_LAYOUT.read_text())
+        INVALID[case](obj)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(obj))
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps(records(1)[0]))
+        assert main(["restore", "--model", str(model_path), "--record", str(rec_path),
+                     "--out", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unknown_parent_is_a_graph_error(self):
+        obj = json.loads(OLD_LAYOUT.read_text())
+        node(obj, "Z")["parents"] = ["Y", "W"]
+        with pytest.raises(GraphError):
+            model_from_dict(obj)
+
+    def test_cycle_is_a_cycle_error(self):
+        obj = json.loads(OLD_LAYOUT.read_text())
+        node(obj, "X")["parents"] = ["A", "Z"]
+        with pytest.raises(CycleError):
+            model_from_dict(obj)

@@ -67,7 +67,7 @@ class TestFitLinearGaussian:
         d = make([("Y", CONTINUOUS)], [(1.0,), (3.0,)])
         lg = fit_linear_gaussian(d, "Y", [])
         assert lg.intercept == pytest.approx(2.0)
-        assert lg.marginal_variance == pytest.approx(1.0)  # divide-by-n convention
+        assert lg.residual_variance == pytest.approx(1.0)  # divide-by-n convention
         assert lg.coefficients == {}
 
     def test_two_parents_against_normal_equations_oracle(self):
@@ -96,7 +96,7 @@ class TestFitLinearGaussian:
             y = rng.standard_normal(30)
             d = make([("X", CONTINUOUS), ("Y", CONTINUOUS)], list(zip(x, y)))
             lg = fit_linear_gaussian(d, "Y", ["X"])
-            assert lg.residual_variance <= lg.marginal_variance + 1e-9
+            assert lg.residual_variance <= np.var(y) + 1e-9
 
     def test_too_few_rows(self):
         d = make([("Y", CONTINUOUS)], [(1.0,)])
@@ -111,7 +111,7 @@ class TestFitConditionalLinearGaussian:
         clg = fit_conditional_linear_gaussian(d, "Y", ["G"], [])
         assert clg.table[("u",)].intercept == pytest.approx(10.0)
         assert clg.table[("v",)].intercept == pytest.approx(20.0)
-        assert clg.table[("u",)].marginal_variance == pytest.approx(0.0)
+        assert clg.table[("u",)].residual_variance == pytest.approx(0.0)
 
     def test_unseen_combination_uses_fallback(self):
         rows = [("u", 10.0)] * 4
@@ -123,7 +123,8 @@ class TestFitConditionalLinearGaussian:
         rows = [("u", 10.0), ("u", 12.0), ("v", 99.0)]
         d = make([("G", CATEGORICAL), ("Y", CONTINUOUS)], rows)
         clg = fit_conditional_linear_gaussian(d, "Y", ["G"], [])
-        assert clg.table[("v",)] is clg.fallback
+        assert ("v",) not in clg.table
+        assert clg.for_combination(("v",)) is clg.fallback
 
     def test_per_group_slopes_against_oracle(self):
         rng = np.random.default_rng(17)
