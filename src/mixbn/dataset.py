@@ -1,18 +1,27 @@
-"""Typed tabular data with explicit missingness.
+"""Typed tabular data with explicit missingness, stored one array per column.
 
-A cell value is either a category label (``str``), a finite real
-(``float``), or ``None`` for missing.  Columns are declared categorical or
-continuous up front and the discipline is enforced at construction time,
-so everything downstream can trust the types.
+A continuous column is a read-only float64 array with NaN for a missing
+cell.  A categorical column is a read-only int64 array of codes into a
+sorted tuple of labels, with -1 for a missing cell; the labels are exactly
+those that occur in the column, so a subset of a table behaves like the
+same rows built afresh.
+
+Cells are validated once, when a table is built: ``Dataset(schema, rows)``
+checks rows of Python cells (a label ``str``, a finite real, or ``None``
+for missing) and ``load_csv`` parses a file straight into columns.  Tables
+derived from a table take its arrays without checking cells again;
+``select_rows`` is an index take.  ``row``, ``rows`` and ``column`` are
+Python-cell views built from the arrays.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import DatasetError
 
@@ -24,7 +33,6 @@ Value = Union[str, float, None]
 
 MISSING_MARKERS = ("", "NA")
 
-
 @dataclass(frozen=True)
 class ColumnSchema:
     name: str
@@ -35,54 +43,98 @@ class ColumnSchema:
             raise DatasetError(f"unknown column kind {self.kind!r} for {self.name!r}")
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable rows-of-tuples table aligned to a column schema."""
+    """Immutable table of one read-only array per column, aligned to a column schema."""
 
-    schema: tuple[ColumnSchema, ...]
-    rows: tuple[tuple, ...]
-
-    def __post_init__(self):
-        schema = tuple(self.schema)
-        names = [c.name for c in schema]
-        if len(set(names)) != len(names):
-            raise DatasetError("duplicate column names in schema")
-        rows = []
-        for i, row in enumerate(self.rows):
+    def __init__(self, schema: Sequence[ColumnSchema], rows: Iterable[Sequence[Value]]):
+        schema, rows = tuple(schema), tuple(rows)
+        for i, row in enumerate(rows):
             if len(row) != len(schema):
                 raise DatasetError(f"row {i} has {len(row)} values, expected {len(schema)}")
-            rows.append(tuple(_check_value(v, schema[j], i) for j, v in enumerate(row)))
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "rows", tuple(rows))
+        columns = [
+            _column(col, [_check_value(row[j], col, i) for i, row in enumerate(rows)], (None,))
+            for j, col in enumerate(schema)
+        ]
+        self._store(schema, len(rows), columns)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def _from_columns(cls, schema: tuple[ColumnSchema, ...], n_rows: int, columns: list) -> "Dataset":
+        """A Dataset over arrays that hold only valid cells already."""
+        d = cls.__new__(cls)
+        d._store(schema, n_rows, columns)
+        return d
+
+    def _store(self, schema, n_rows, columns) -> None:
+        self._index = {c.name: j for j, c in enumerate(schema)}
+        if len(self._index) != len(schema):
+            raise DatasetError("duplicate column names in schema")
+        for array, _ in columns:
+            array.flags.writeable = False
+        self.schema, self.n_rows, self._columns = schema, n_rows, tuple(columns)
+        self._present = tuple(a >= 0 if labels is not None else ~np.isnan(a) for a, labels in columns)
 
     @property
     def names(self) -> list[str]:
         return [c.name for c in self.schema]
 
     def col_index(self, name: str) -> int:
-        for i, c in enumerate(self.schema):
-            if c.name == name:
-                return i
-        raise DatasetError(f"unknown column {name!r}")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise DatasetError(f"unknown column {name!r}") from None
 
     def kind(self, name: str) -> str:
         return self.schema[self.col_index(name)].kind
 
+    def array(self, name: str) -> np.ndarray:
+        """The stored column: float64 values (NaN missing) or int64 label codes (-1 missing)."""
+        return self._columns[self.col_index(name)][0]
+
+    def labels(self, name: str) -> Optional[tuple[str, ...]]:
+        """Sorted labels of a categorical column (code k is labels[k]); None if continuous."""
+        return self._columns[self.col_index(name)][1]
+
+    def present(self, *names: str) -> np.ndarray:
+        """Boolean mask of the rows where none of the named columns is missing."""
+        mask = np.ones(self.n_rows, dtype=bool)
+        for name in names:
+            mask &= self._present[self.col_index(name)]
+        return mask
+
+    def with_values(self, name: str, values: np.ndarray) -> "Dataset":
+        """A copy of the table whose continuous column ``name`` holds ``values`` (NaN missing)."""
+        j = self.col_index(name)
+        values = np.array(values, dtype=np.float64)
+        if self.schema[j].kind != CONTINUOUS or values.shape != (self.n_rows,) or np.isinf(values).any():
+            raise DatasetError(f"column {name!r} takes {self.n_rows} finite or NaN values")
+        columns = list(self._columns)
+        columns[j] = (values, None)
+        return Dataset._from_columns(self.schema, self.n_rows, columns)
+
+    def row(self, i: int) -> tuple:
+        """Row i as Python cells: label, float, or None for missing."""
+        cells = ((array[i].item(), labels) for array, labels in self._columns)
+        return tuple(
+            (labels[v] if v >= 0 else None) if labels is not None else (None if math.isnan(v) else v)
+            for v, labels in cells
+        )
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(self.row(i) for i in range(self.n_rows))
+
     def column(self, name: str) -> list[Value]:
         j = self.col_index(name)
-        return [row[j] for row in self.rows]
+        return [self.row(i)[j] for i in range(self.n_rows)]
 
 
-def _checked(schema: tuple[ColumnSchema, ...], rows: tuple[tuple, ...]) -> Dataset:
-    """A Dataset built from cells of already-checked Datasets, without re-checking them."""
-    d = object.__new__(Dataset)
-    object.__setattr__(d, "schema", schema)
-    object.__setattr__(d, "rows", rows)
-    return d
+def _column(col: ColumnSchema, cells: Sequence, missing: tuple) -> tuple:
+    """A stored column from checked Python cells; cells in ``missing`` are missing."""
+    if col.kind == CONTINUOUS:
+        return np.array([math.nan if v is None else v for v in cells], dtype=np.float64), None
+    labels = tuple(sorted(set(cells).difference(missing)))
+    index = {lab: k for k, lab in enumerate(labels)} | dict.fromkeys(missing, -1)
+    return np.array([index[c] for c in cells], dtype=np.int64), labels
 
 
 def _check_value(v: Value, col: ColumnSchema, row_idx: int) -> Value:
@@ -123,7 +175,7 @@ def load_csv(path: str, schema: Sequence[ColumnSchema]) -> Dataset:
 
     The header must match the schema names as a set (order may differ).
     Empty cells and the literal "NA" are missing; anything else in a
-    continuous column must parse as a decimal real.
+    continuous column must parse as a finite decimal real.
     """
     schema = tuple(schema)
     with open(path, newline="") as fh:
@@ -140,39 +192,39 @@ def load_csv(path: str, schema: Sequence[ColumnSchema]) -> Dataset:
             raise DatasetError(
                 f"{path}: header mismatch (unknown: {sorted(unknown)}, missing: {sorted(missing)})"
             )
-        positions = [header.index(c.name) for c in schema]
-        rows = []
-        for r, raw in enumerate(reader, start=1):
-            if len(raw) != len(header):
-                raise DatasetError(f"{path}: row {r} has {len(raw)} cells, expected {len(header)}")
-            row = []
-            for col, pos in zip(schema, positions):
-                cell = raw[pos]
-                if cell in MISSING_MARKERS:
-                    row.append(None)
-                elif col.kind == CATEGORICAL:
-                    row.append(cell)
-                else:
-                    try:
-                        row.append(float(cell))
-                    except ValueError:
-                        raise DatasetError(
-                            f"{path}: row {r}, column {col.name!r}: cannot parse {cell!r} as a number"
-                        )
-            rows.append(tuple(row))
-    return Dataset(schema, tuple(rows))
+        lines = list(reader)
+    for r, raw in enumerate(lines, start=1):
+        if len(raw) != len(header):
+            raise DatasetError(f"{path}: row {r} has {len(raw)} cells, expected {len(header)}")
+    columns = []
+    for col in schema:
+        pos = header.index(col.name)
+        cells = [raw[pos] for raw in lines]
+        if col.kind == CATEGORICAL:
+            columns.append(_column(col, cells, MISSING_MARKERS))
+            continue
+        missing = np.array([c in MISSING_MARKERS for c in cells], dtype=bool)
+        values = np.array([math.nan if m else _to_float(c) for c, m in zip(cells, missing.tolist())])
+        bad = np.flatnonzero(~missing & ~np.isfinite(values))
+        if bad.size:
+            raise DatasetError(f"{path}: row {bad[0] + 1}, column {col.name!r}: "
+                               f"cannot parse {cells[bad[0]]!r} as a finite number")
+        columns.append((values, None))
+    return Dataset._from_columns(schema, len(lines), columns)
 
 
-def quantile_edges(values: Sequence[float], bins: int) -> tuple[float, ...]:
+def _to_float(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def quantile_edges(values: np.ndarray, bins: int) -> tuple[float, ...]:
     """Edges at the ceil(k*n/bins)-th order statistic, k = 1..bins-1, deduplicated."""
-    vals = sorted(values)
-    n = len(vals)
-    edges: list[float] = []
-    for k in range(1, bins):
-        e = vals[math.ceil(k * n / bins) - 1]
-        if not edges or e > edges[-1]:
-            edges.append(e)
-    return tuple(edges)
+    n = len(values)
+    stats = np.sort(values)[[math.ceil(k * n / bins) - 1 for k in range(1, bins)]].tolist()
+    return tuple(e for k, e in enumerate(stats) if k == 0 or e > stats[k - 1])
 
 
 def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, dict[str, tuple[float, ...]]]:
@@ -187,29 +239,24 @@ def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, dict[str, tuple
     if bins < 2:
         raise DatasetError(f"bins must be >= 2, got {bins}")
     edges: dict[str, tuple[float, ...]] = {}
-    for col in d.schema:
+    columns = []
+    for col, (array, labels) in zip(d.schema, d._columns):
         if col.kind != CONTINUOUS:
+            columns.append((array, labels))
             continue
-        present = [v for v in d.column(col.name) if v is not None]
-        if len(present) < bins:
+        present = ~np.isnan(array)
+        if np.count_nonzero(present) < bins:
             raise DatasetError(
-                f"column {col.name!r} has {len(present)} non-missing values, needs >= {bins}"
+                f"column {col.name!r} has {np.count_nonzero(present)} non-missing values, needs >= {bins}"
             )
-        edges[col.name] = quantile_edges(present, bins)
-
+        edges[col.name] = quantile_edges(array[present], bins)
+        bin_of = np.array(edges[col.name]).searchsorted(array, side="left")
+        # labels sort as strings, so "10" precedes "2" once there are more than 10 bins
+        labels = tuple(sorted(map(str, range(len(edges[col.name]) + 1))))
+        code_of = np.argsort([int(lab) for lab in labels])
+        columns.append(_drop_unheld(np.where(present, code_of[bin_of], -1), labels))
     new_schema = tuple(ColumnSchema(c.name, CATEGORICAL) for c in d.schema)
-    cont_idx = {i for i, c in enumerate(d.schema) if c.kind == CONTINUOUS}
-    new_rows = []
-    for row in d.rows:
-        new_rows.append(
-            tuple(
-                None
-                if v is None
-                else (str(bisect_left(edges[d.schema[j].name], v)) if j in cont_idx else v)
-                for j, v in enumerate(row)
-            )
-        )
-    return _checked(new_schema, tuple(new_rows)), edges
+    return Dataset._from_columns(new_schema, d.n_rows, columns), edges
 
 
 def normalize_ranges(d: Dataset) -> dict[str, Optional[tuple[float, float]]]:
@@ -220,17 +267,28 @@ def normalize_ranges(d: Dataset) -> dict[str, Optional[tuple[float, float]]]:
     """
     out: dict[str, Optional[tuple[float, float]]] = {}
     for col in d.schema:
-        if col.kind != CONTINUOUS:
-            continue
-        present = [v for v in d.column(col.name) if v is not None]
-        out[col.name] = (min(present), max(present)) if present else None
+        if col.kind == CONTINUOUS:
+            x = d.array(col.name)[d.present(col.name)]
+            out[col.name] = (float(x.min()), float(x.max())) if x.size else None
     return out
 
 
 def select_rows(d: Dataset, indices: Iterable[int]) -> Dataset:
-    rows = []
-    for i in indices:
-        if not 0 <= i < d.n_rows:
-            raise DatasetError(f"row index {i} out of range [0, {d.n_rows})")
-        rows.append(d.rows[i])
-    return _checked(d.schema, tuple(rows))
+    """The rows at ``indices``, in that order; labels no selected row holds are dropped."""
+    idx = np.fromiter(indices, dtype=np.intp)
+    bad = idx[(idx < 0) | (idx >= d.n_rows)]
+    if bad.size:
+        raise DatasetError(f"row index {bad[0]} out of range [0, {d.n_rows})")
+    columns = [(a[idx], None) if labels is None else _drop_unheld(a[idx], labels)
+               for a, labels in d._columns]
+    return Dataset._from_columns(d.schema, len(idx), columns)
+
+
+def _drop_unheld(codes: np.ndarray, labels: tuple[str, ...]) -> tuple:
+    """Codes and labels with the labels no row holds left out."""
+    held = np.bincount(codes[codes >= 0], minlength=len(labels)) > 0
+    if held.all():
+        return codes, labels
+    # new code of each held label; a trailing -1 keeps missing at -1
+    code_of = np.append(np.cumsum(held) - 1, -1)
+    return code_of[codes], tuple(lab for lab, h in zip(labels, held) if h)

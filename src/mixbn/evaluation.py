@@ -157,7 +157,7 @@ def leave_one_out(
     rng = np.random.default_rng(cfg.seed)
     targets = list(range(d.n_rows))
     if cfg.max_rows is not None and cfg.max_rows < len(targets):
-        targets = sorted(rng.choice(len(targets), size=cfg.max_rows, replace=False))
+        targets = sorted(rng.choice(len(targets), size=cfg.max_rows, replace=False).tolist())
 
     params = d.names
     hits: dict[tuple[str, str], list[float]] = {}
@@ -168,7 +168,7 @@ def leave_one_out(
     weight, weight_source = _derive_gower_weight(d, cfg)
 
     for t in targets:
-        row = d.rows[t]
+        row = d.row(t)
         if all(v is None for v in row):
             skipped_rows += 1
             continue
@@ -181,7 +181,7 @@ def leave_one_out(
             if training_capture is not None:
                 training_capture(t, regime, [others[i] for i in train_local])
             for p_idx, p in enumerate(params):
-                truth = row[d.col_index(p)]
+                truth = row[p_idx]
                 if truth is None:
                     continue
                 ev = {
@@ -243,38 +243,32 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
         if span is None or span[1] == span[0]:
             continue  # zero range: skipped, reported by absence
         j = d.col_index(target)
-        present = [i for i in range(d.n_rows) if d.rows[i][j] is not None]
+        present = np.flatnonzero(d.present(target)).tolist()
         k = int(math.floor(cfg.anomaly_fraction * len(present)))
         if k == 0 or k == len(present):
             raise EvaluationError(
                 f"anomaly fraction {cfg.anomaly_fraction} leaves no usable split for {target!r}"
             )
         injected = set(rng.choice(present, size=k, replace=False).tolist())
-        perturbed_rows = []
-        for i, row in enumerate(d.rows):
-            if i in injected:
-                row = list(row)
-                row[j] = float(rng.uniform(span[0], span[1]))
-                row = tuple(row)
-            perturbed_rows.append(row)
-        perturbed = Dataset(d.schema, tuple(perturbed_rows))
+        values = d.array(target).copy()
+        for i in sorted(injected):
+            values[i] = rng.uniform(span[0], span[1])
         if cfg.train_on_perturbed:
-            train = perturbed
+            train = d.with_values(target, values)
         else:
             train = select_rows(d, [i for i in range(d.n_rows) if i not in injected])
         model = mixlearn(train, bins=cfg.bins, max_parents=cfg.max_parents)
         scores: list[float] = []
         labels: list[bool] = []
         for i in present:
-            row = perturbed.rows[i]
             ev = {
-                name: v for name, v in zip(d.names, row) if name != target and v is not None
+                name: v for name, v in zip(d.names, d.row(i)) if name != target and v is not None
             }
             valid_ev, _ = sanitize_evidence(model, ev)
             try:
                 score, _flag = anomaly_score(
                     model,
-                    {**valid_ev, target: row[j]},
+                    {**valid_ev, target: float(values[i])},
                     target,
                     cfg.m_samples,
                     _row_seed(cfg.seed, i, j),

@@ -1,7 +1,8 @@
 """Directed acyclic graphs over named variables.
 
-Dag values are immutable; edge operations return new graphs and refuse
-anything that would close a cycle, so a Dag in hand is always valid.
+Dag values are immutable and their constructor refuses unknown nodes,
+self-loops and cycles, so a Dag in hand is always valid; a changed graph
+is a new ``Dag(nodes, edges)``.
 Node declaration order is significant: it drives every deterministic
 tie-break downstream (topological order, search move ordering).
 """
@@ -34,27 +35,10 @@ class Dag:
         # raises CycleError if the edge set is cyclic
         self.topological_order()
 
-    def _check_node(self, name: str) -> None:
-        if name not in self.nodes:
-            raise GraphError(f"unknown node {name!r}")
-
     def parents(self, node: str) -> frozenset[str]:
-        self._check_node(node)
+        if node not in self.nodes:
+            raise GraphError(f"unknown node {node!r}")
         return frozenset(p for p, c in self.edges if c == node)
-
-    def add_edge(self, parent: str, child: str) -> "Dag":
-        """New graph with the edge; the constructor refuses unknown nodes and cycles."""
-        if (parent, child) in self.edges:
-            raise GraphError(f"edge ({parent!r}, {child!r}) already present")
-        return Dag(self.nodes, self.edges | {(parent, child)})
-
-    def remove_edge(self, parent: str, child: str) -> "Dag":
-        if (parent, child) not in self.edges:
-            raise GraphError(f"edge ({parent!r}, {child!r}) not present")
-        return Dag(self.nodes, self.edges - {(parent, child)})
-
-    def reverse_edge(self, parent: str, child: str) -> "Dag":
-        return self.remove_edge(parent, child).add_edge(child, parent)
 
     def topological_order(self) -> list[str]:
         """Kahn's algorithm; among ready nodes the earliest-declared wins."""

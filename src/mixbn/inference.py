@@ -111,7 +111,7 @@ def _draw(model: BayesianNetworkModel, node: str, current: Mapping[str, Value], 
     mean = lg.intercept + sum(
         coef * current[p] for p, coef in lg.coefficients.items()
     )
-    std = math.sqrt(max(lg.residual_variance, 0.0))
+    std = math.sqrt(lg.residual_variance)
     return float(mean + std * rng.standard_normal()) if std > 0 else float(mean)
 
 

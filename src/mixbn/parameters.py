@@ -13,18 +13,13 @@ the raw values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import (
-    CATEGORICAL,
-    CONTINUOUS,
-    Dataset,
-    quantile_discretize,
-    select_rows,
-)
+from .dataset import CATEGORICAL, CONTINUOUS, Dataset, quantile_discretize
 from .errors import ParameterError
 from .graph import Dag, EdgeConstraints
 from .structure import hill_climb, orientation_guard
@@ -49,8 +44,8 @@ class Cpt:
         for cfg, probs in self.table.items():
             if len(probs) != len(self.states):
                 raise ParameterError(f"probability vector length mismatch at {cfg}")
-            if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-                raise ParameterError(f"probabilities at {cfg} do not sum to 1")
+            if not all(0 <= p <= 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+                raise ParameterError(f"probabilities at {cfg} are not a finite distribution")
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,12 @@ class LinearGaussian:
     intercept: float
     coefficients: Mapping[str, float]
     residual_variance: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.intercept, *self.coefficients.values())):
+            raise ParameterError("linear-Gaussian intercept and coefficients must be finite")
+        if not 0 <= self.residual_variance < math.inf:
+            raise ParameterError("linear-Gaussian residual variance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,13 @@ class BayesianNetworkModel:
                 fits, lgs = kind(node) == CONTINUOUS, (dist.fallback, *dist.table.values())
             else:
                 fits, lgs = kind(node) == CONTINUOUS and isinstance(dist, LinearGaussian) and not disc, (dist,)
-            # table keys hold one label per categorical parent; coefficients name continuous parents
-            fits = fits and all(len(key) == len(disc) for key in getattr(dist, "table", ()))
+            # table keys hold one state of each categorical parent, in schema order;
+            # coefficients name continuous parents
+            states = [getattr(self.distributions.get(p), "states", ()) for p in self.dag.nodes if p in disc]
+            fits = fits and all(
+                len(key) == len(disc) and all(lab in s for lab, s in zip(key, states))
+                for key in getattr(dist, "table", ())
+            )
             if not fits or any(set(lg.coefficients) - (parents - disc) for lg in lgs):
                 raise ParameterError(f"node {node!r} has no distribution that fits its kind and parents")
 
@@ -109,9 +115,18 @@ class BayesianNetworkModel:
         return [p for p in self.parents_in_order(node) if self.node_kind[p] == CATEGORICAL]
 
 
-def _complete_rows(d: Dataset, names: Sequence[str]) -> list[tuple]:
-    cols = [d.col_index(n) for n in names]
-    return [row for row in d.rows if all(row[j] is not None for j in cols)]
+def _groups(d: Dataset, names: Sequence[str], mask: np.ndarray) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Label tuples of the combinations of names seen under mask, in order of first
+    appearance, and each row's combination number (-1 outside mask)."""
+    combined = np.zeros(d.n_rows, dtype=np.int64)
+    for name in names:
+        combined = combined * len(d.labels(name)) + d.array(name)
+    _, first, inverse = np.unique(combined[mask], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.full(d.n_rows, -1, dtype=np.int64)
+    group[mask] = np.argsort(order)[inverse]
+    rows = np.flatnonzero(mask)[first[order]].tolist()
+    return [tuple(d.labels(n)[d.array(n)[i]] for n in names) for i in rows], group
 
 
 def fit_cpt(d: Dataset, child: str, parents: Sequence[str], alpha: float = 1.0) -> Cpt:
@@ -119,50 +134,45 @@ def fit_cpt(d: Dataset, child: str, parents: Sequence[str], alpha: float = 1.0) 
     for name in (child, *parents):
         if d.kind(name) != CATEGORICAL:
             raise ParameterError(f"column {name!r} is not categorical")
-    states = tuple(sorted({v for v in d.column(child) if v is not None}))
+    states = d.labels(child)
     if not states:
         raise ParameterError(f"column {child!r} has no observed values")
-    rows = _complete_rows(d, [child, *parents])
-    if not rows:
+    mask = d.present(child, *parents)
+    if not mask.any():
         raise ParameterError(f"no complete-case rows for {child!r} given {list(parents)}")
-    ci = d.col_index(child)
-    pis = [d.col_index(p) for p in parents]
-    counts: dict[tuple[str, ...], dict[str, int]] = {}
-    for row in rows:
-        cfg = tuple(row[j] for j in pis)
-        counts.setdefault(cfg, {})
-        counts[cfg][row[ci]] = counts[cfg].get(row[ci], 0) + 1
+    configs, group = _groups(d, parents, mask)
     r = len(states)
-    table = {}
-    for cfg, by_state in counts.items():
-        n_j = sum(by_state.values())
-        table[cfg] = tuple(
-            (by_state.get(s, 0) + alpha) / (n_j + alpha * r) for s in states
-        )
-    return Cpt(states, table)
+    n_jk = np.bincount(group[mask] * r + d.array(child)[mask], minlength=len(configs) * r)
+    n_jk = n_jk.reshape(len(configs), r)
+    probs = (n_jk + alpha) / (n_jk.sum(axis=1, keepdims=True) + alpha * r)
+    return Cpt(states, dict(zip(configs, map(tuple, probs.tolist()))))
 
 
-def fit_linear_gaussian(d: Dataset, child: str, parents: Sequence[str]) -> LinearGaussian:
+def fit_linear_gaussian(
+    d: Dataset, child: str, parents: Sequence[str], rows: Optional[np.ndarray] = None
+) -> LinearGaussian:
     """Posterior-mean ridge regression of child on its continuous parents.
 
-    Intercept unpenalized; population (divide-by-n) variance convention
-    for the residual variance.
+    Fitted on the rows of the boolean mask ``rows`` (all rows by default)
+    that hold the child and every parent.  Intercept unpenalized;
+    population (divide-by-n) variance convention for the residual variance.
     """
     for name in (child, *parents):
         if d.kind(name) != CONTINUOUS:
             raise ParameterError(f"column {name!r} is not continuous")
-    rows = _complete_rows(d, [child, *parents])
-    if len(rows) < 2:
-        raise ParameterError(
-            f"need >= 2 complete-case rows to fit {child!r}, got {len(rows)}"
-        )
-    ci = d.col_index(child)
-    y = np.array([row[ci] for row in rows], dtype=float)
+    mask = d.present(child, *parents)
+    if rows is not None:
+        mask &= rows
+    n = int(mask.sum())
+    if n < 2:
+        raise ParameterError(f"need >= 2 complete-case rows to fit {child!r}, got {n}")
+    y = d.array(child)[mask]
     y_mean = float(y.mean())
     if not parents:
         return LinearGaussian(y_mean, {}, float(y.var()))
-    pis = [d.col_index(p) for p in parents]
-    x = np.array([[row[j] for j in pis] for row in rows], dtype=float)
+    x = np.empty((n, len(parents)))
+    for k, p in enumerate(parents):
+        x[:, k] = d.array(p)[mask]
     x_mean = x.mean(axis=0)
     xc = x - x_mean
     yc = y - y_mean
@@ -191,17 +201,11 @@ def fit_conditional_linear_gaussian(
     if not discrete_parents:
         raise ParameterError("conditional fit requires at least one discrete parent")
     fallback = fit_linear_gaussian(d, child, continuous_parents)
-    dis = [d.col_index(p) for p in discrete_parents]
-    combos: dict[tuple[str, ...], list[int]] = {}
-    for i, row in enumerate(d.rows):
-        if any(row[j] is None for j in dis):
-            continue
-        combos.setdefault(tuple(row[j] for j in dis), []).append(i)
+    combos, group = _groups(d, discrete_parents, d.present(*discrete_parents))
     table = {}
-    for combo, indices in combos.items():
-        sub = select_rows(d, indices)
+    for k, combo in enumerate(combos):
         try:
-            table[combo] = fit_linear_gaussian(sub, child, continuous_parents)
+            table[combo] = fit_linear_gaussian(d, child, continuous_parents, group == k)
         except ParameterError:
             pass  # too few usable rows: the combination uses the fallback
     return ConditionalLinearGaussian(table, fallback)

@@ -1,9 +1,15 @@
 """Mixed-type distances and analogue retrieval.
 
-Rows are value tuples aligned to a schema.  A variable is comparable for
-a pair only when both sides are non-missing; all metrics work over the
-comparable variables and treat an empty comparable set as an error, not
-as maximal distance.
+A variable is comparable for a pair only when both sides are non-missing;
+all metrics work over the comparable variables and treat an empty
+comparable set as an error, not as maximal distance.
+
+``gower_distance`` and ``cosine_distance`` score one pair of value tuples
+aligned to a schema; they are the reference definitions.
+``nearest_analogues`` ranks a whole pool at once: each metric is one
+masked array expression per column over the pool's stored arrays, summed
+in schema order with the same operations as the per-pair functions, so
+its keys equal theirs bit for bit.
 """
 from __future__ import annotations
 
@@ -55,12 +61,6 @@ class AnalogueQuery:
     n_analogues: int = 40
 
 
-def _column_range(ranges: Optional[Ranges], name: str) -> Optional[tuple[float, float]]:
-    if ranges is None:
-        return None
-    return ranges.get(name)
-
-
 def gower_distance(u: Row, t: Row, schema: Sequence[ColumnSchema], spec: DistanceSpec) -> float:
     """1 - weighted Gower similarity over comparable variables.
 
@@ -78,7 +78,7 @@ def gower_distance(u: Row, t: Row, schema: Sequence[ColumnSchema], spec: Distanc
         if col.kind == CATEGORICAL:
             s = 1.0 if a == b else 0.0
         else:
-            rng = _column_range(spec.ranges, col.name)
+            rng = (spec.ranges or {}).get(col.name)
             if rng is None or rng[1] == rng[0]:
                 s = 1.0
             else:
@@ -107,7 +107,7 @@ def cosine_distance(u: Row, t: Row, schema: Sequence[ColumnSchema], ranges: Rang
             tv.append(1.0)
             uv.append(1.0 if a == b else 0.0)
         else:
-            rng = _column_range(ranges, col.name)
+            rng = (ranges or {}).get(col.name)
             if rng is None or rng[1] == rng[0]:
                 uv.append(0.0)
                 tv.append(0.0)
@@ -125,23 +125,6 @@ def cosine_distance(u: Row, t: Row, schema: Sequence[ColumnSchema], ranges: Rang
         return 1.0
     dot = sum(x * y for x, y in zip(uv, tv))
     return min(max(1.0 - dot / (nu * nt), 0.0), 1.0)
-
-
-def _close_count(target: Row, row: Row, schema, ranges: Ranges, epsilon: float) -> int:
-    count = 0
-    for j, col in enumerate(schema):
-        a, b = row[j], target[j]
-        if a is None or b is None:
-            continue
-        if col.kind == CATEGORICAL:
-            close = a == b
-        else:
-            rng = _column_range(ranges, col.name)
-            span = 0.0 if rng is None else rng[1] - rng[0]
-            close = abs(a - b) <= epsilon * span
-        if close:
-            count += 1
-    return count
 
 
 def filter_analogues(target: Row, pool: Dataset, epsilon: float, n: int) -> list[int]:
@@ -167,17 +150,60 @@ def nearest_analogues(q: AnalogueQuery, pool: Dataset) -> list[int]:
         raise SimilarityError(
             f"pool of {pool.n_rows} rows cannot supply {q.n_analogues} analogues"
         )
-    spec, target, schema = q.spec, q.target, pool.schema
-    ranges = spec.ranges if spec.ranges is not None else normalize_ranges(pool)
-    if spec.metric == FILTER:
-        keys = [-_close_count(target, row, schema, ranges, spec.epsilon) for row in pool.rows]
-    elif spec.metric == COSINE:
-        keys = [cosine_distance(row, target, schema, ranges) for row in pool.rows]
-    else:
-        resolved = DistanceSpec(spec.metric, dict(spec.weights), None, ranges)
-        keys = [gower_distance(row, target, schema, resolved) for row in pool.rows]
-    order = sorted(range(pool.n_rows), key=lambda i: (keys[i], i))
-    return order[: q.n_analogues]
+    ranges = q.spec.ranges if q.spec.ranges is not None else normalize_ranges(pool)
+    keys = _keys(q.spec, ranges, q.target, pool)
+    return np.argsort(keys, kind="stable")[: q.n_analogues].tolist()
+
+
+def _keys(spec: DistanceSpec, ranges: Ranges, target: Row, pool: Dataset) -> np.ndarray:
+    """Sort key of every pool row under the spec's metric.
+
+    For each column the target holds, one masked array expression adds
+    that column's term to the rows comparable with the target.  Columns go
+    in schema order through the same operations as the per-pair
+    functions, so the keys equal theirs bit for bit.
+    """
+    n, metric = pool.n_rows, spec.metric
+    num, den, uu, tt = np.zeros((4, n))
+    for col, b in zip(pool.schema, target):
+        if b is None:
+            continue
+        ok, a = pool.present(col.name), pool.array(col.name)
+        rng = ranges.get(col.name)
+        span = 0.0 if rng is None else rng[1] - rng[0]
+        if col.kind == CATEGORICAL:
+            labels = pool.labels(col.name)
+            s = u = (a == (labels.index(b) if b in labels else -2)).astype(float)
+            t = 1.0
+        elif metric == FILTER:
+            s = (np.abs(a - b) <= spec.epsilon * span).astype(float)
+        elif metric == COSINE:
+            u = np.minimum(np.maximum((a - rng[0]) / span, 0.0), 1.0) if span else np.zeros(n)
+            t = min(max((b - rng[0]) / span, 0.0), 1.0) if span else 0.0
+        else:
+            s = 1.0 - np.minimum(np.abs(a - b) / span, 1.0) if span else np.ones(n)
+        w = spec.weight(col.name) if metric in (GOWER, GOWER_WEIGHTED) else 1.0
+        den[ok] += w
+        if metric == COSINE:  # num is the dot product u.t
+            uu[ok] += (u * u)[ok]
+            tt[ok] += t * t
+            num[ok] += (u * t)[ok]
+        else:
+            num[ok] += w * s[ok]
+    if metric == FILTER:
+        return -num
+    nt = np.sqrt(tt)
+    bad = np.flatnonzero((den == 0.0) | ((nt == 0.0) & (metric == COSINE)))
+    if bad.size:
+        raise SimilarityError(
+            "no comparable variables between the two rows" if den[bad[0]] == 0.0
+            else "encoded target vector is zero"
+        )
+    if metric != COSINE:
+        return 1.0 - num / den
+    nu = np.sqrt(uu)
+    cos = num / np.where(nu == 0.0, 1.0, nu * nt)
+    return np.where(nu == 0.0, 1.0, np.minimum(np.maximum(1.0 - cos, 0.0), 1.0))
 
 
 def metric_spec(
@@ -215,32 +241,24 @@ def penalty_weights(pool: Dataset, seed: int = 0) -> tuple[dict[str, Optional[fl
     kinds = {c.name: c.kind for c in pool.schema}
     if CATEGORICAL not in kinds.values() or CONTINUOUS not in kinds.values():
         raise SimilarityError("penalty analysis needs both categorical and continuous columns")
-    ranges = normalize_ranges(pool)
     table: dict[str, Optional[float]] = {}
     for col in pool.schema:
-        values = [v for v in pool.column(col.name) if v is not None]
+        values = pool.array(col.name)[pool.present(col.name)]
         m = len(values)
         pairs = m * (m - 1) // 2
         if pairs == 0:
             table[col.name] = None
-            continue
-        if col.kind == CATEGORICAL:
-            counts: dict[str, int] = {}
-            for v in values:
-                counts[v] = counts.get(v, 0) + 1
-            matches = sum(c * (c - 1) // 2 for c in counts.values())
+        elif col.kind == CATEGORICAL:
+            counts = np.bincount(values)
+            matches = int((counts * (counts - 1) // 2).sum())
             table[col.name] = 1.0 - matches / pairs
         else:
-            rng = ranges[col.name]
-            span = 0.0 if rng is None else rng[1] - rng[0]
-            if span == 0.0:
-                table[col.name] = 0.0
-                continue
             # mean pairwise |x_i - x_j| via sorted prefix sums
-            xs = np.sort(np.asarray(values, dtype=float))
+            xs = np.sort(values)
+            span = float(xs[-1]) - float(xs[0])
             ranks = np.arange(m, dtype=float)
             total = float(np.sum((2 * ranks - m + 1) * xs))
-            table[col.name] = total / pairs / span
+            table[col.name] = total / pairs / span if span else 0.0
 
     cat = [table[c.name] for c in pool.schema if kinds[c.name] == CATEGORICAL and table[c.name] is not None]
     cont = [table[c.name] for c in pool.schema if kinds[c.name] == CONTINUOUS and table[c.name] is not None]

@@ -23,42 +23,18 @@ from .graph import Dag, Edge, EdgeConstraints
 ForbiddenPredicate = Callable[[str, str], bool]
 
 
-class _Encoded:
-    """Integer-coded view of a categorical dataset (-1 marks missing)."""
-
-    def __init__(self, d: Dataset):
-        self.names = d.names
-        self.codes: dict[str, np.ndarray] = {}
-        self.card: dict[str, int] = {}
-        for col in d.schema:
-            if col.kind != CATEGORICAL:
-                raise StructureError(f"column {col.name!r} is continuous; discretize first")
-            values = d.column(col.name)
-            labels = sorted({v for v in values if v is not None})
-            index = {lab: i for i, lab in enumerate(labels)}
-            self.codes[col.name] = np.array(
-                [index[v] if v is not None else -1 for v in values], dtype=np.int64
-            )
-            self.card[col.name] = len(labels)
-
-
-def _family_score(enc: _Encoded, child: str, parents: Sequence[str]) -> float:
-    child_codes = enc.codes[child]
-    r = enc.card[child]
-    mask = child_codes >= 0
-    for p in parents:
-        mask &= enc.codes[p] >= 0
+def _family_score(d: Dataset, child: str, parents: Sequence[str]) -> float:
+    mask = d.present(child, *parents)
     if not mask.any():
         raise StructureError(
             f"no complete-case rows for family ({child!r} | {sorted(parents)})"
         )
-    y = child_codes[mask]
-    if r == 0:
-        raise StructureError(f"column {child!r} has no observed values")
+    y = d.array(child)[mask]
+    r = len(d.labels(child))
     if parents:
         combined = np.zeros(y.shape, dtype=np.int64)
         for p in parents:
-            combined = combined * enc.card[p] + enc.codes[p][mask]
+            combined = combined * len(d.labels(p)) + d.array(p)[mask]
         _, config = np.unique(combined, return_inverse=True)
         q = int(config.max()) + 1
     else:
@@ -71,6 +47,12 @@ def _family_score(enc: _Encoded, child: str, parents: Sequence[str]) -> float:
     )
 
 
+def _require_discrete(d: Dataset, names: Iterable[str]) -> None:
+    for name in names:
+        if d.kind(name) != CATEGORICAL:
+            raise StructureError(f"column {name!r} is continuous; discretize first")
+
+
 class FamilyScoreCache:
     """Memo of (child, sorted parent set) -> log family score for one dataset."""
 
@@ -79,13 +61,13 @@ class FamilyScoreCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, enc: _Encoded, child: str, parents: Iterable[str]) -> float:
+    def get(self, d: Dataset, child: str, parents: Iterable[str]) -> float:
         key = (child, tuple(sorted(parents)))
         if key in self._table:
             self.hits += 1
             return self._table[key]
         self.misses += 1
-        score = _family_score(enc, child, key[1])
+        score = _family_score(d, child, key[1])
         self._table[key] = score
         return score
 
@@ -93,19 +75,17 @@ class FamilyScoreCache:
 def k2_family_score(d: Dataset, child: str, parents: Iterable[str]) -> float:
     """Log K2 score of one node family on a discretized dataset."""
     parents = tuple(parents)
-    for name in (child, *parents):
-        if d.kind(name) != CATEGORICAL:
-            raise StructureError(f"column {name!r} is continuous; discretize first")
-    return _family_score(_Encoded(d), child, parents)
+    _require_discrete(d, (child, *parents))
+    return _family_score(d, child, parents)
 
 
 def k2_total_score(
     d: Dataset, g: Dag, cache: Optional[FamilyScoreCache] = None
 ) -> float:
     """Sum of family scores over all nodes of g (decomposable)."""
-    enc = _Encoded(d)
+    _require_discrete(d, d.names)
     cache = cache or FamilyScoreCache()
-    return sum(cache.get(enc, node, g.parents(node)) for node in g.nodes)
+    return sum(cache.get(d, node, g.parents(node)) for node in g.nodes)
 
 
 def orientation_guard(schema: Sequence[ColumnSchema]) -> ForbiddenPredicate:
@@ -160,7 +140,7 @@ def hill_climb(
     constraints = constraints or EdgeConstraints()
     if max_parents < 1:
         raise StructureError(f"max_parents must be >= 1, got {max_parents}")
-    enc = _Encoded(d)
+    _require_discrete(d, d.names)
     cache = FamilyScoreCache()
     nodes = d.names
     idx = {n: i for i, n in enumerate(nodes)}
@@ -178,7 +158,7 @@ def hill_climb(
         parents[c].add(p)
 
     def family(child: str) -> float:
-        return cache.get(enc, child, parents[child])
+        return cache.get(d, child, parents[child])
 
     while True:
         best = None  # (delta, kind, p_idx, c_idx, apply)
@@ -194,7 +174,7 @@ def hill_climb(
                     continue
                 if _creates_cycle(parents, p, c):
                     continue
-                delta = cache.get(enc, c, parents[c] | {p}) - family(c)
+                delta = cache.get(d, c, parents[c] | {p}) - family(c)
                 key = (delta, _ADD, idx[p], idx[c])
                 if best is None or _better(key, best[0]):
                     best = (key, ("add", p, c))
@@ -202,7 +182,7 @@ def hill_climb(
             for c in nodes:
                 if p not in parents[c] or (p, c) in protected:
                     continue
-                delta = cache.get(enc, c, parents[c] - {p}) - family(c)
+                delta = cache.get(d, c, parents[c] - {p}) - family(c)
                 key = (delta, _DELETE, idx[p], idx[c])
                 if best is None or _better(key, best[0]):
                     best = (key, ("delete", p, c))
@@ -217,9 +197,9 @@ def hill_climb(
                 if cyclic:
                     continue
                 delta = (
-                    cache.get(enc, c, parents[c] - {p})
+                    cache.get(d, c, parents[c] - {p})
                     - family(c)
-                    + cache.get(enc, p, parents[p] | {c})
+                    + cache.get(d, p, parents[p] | {c})
                     - family(p)
                 )
                 key = (delta, _REVERSE, idx[p], idx[c])

@@ -82,13 +82,13 @@ def single_moves(g):
         for c in g.nodes:
             if p != c and (p, c) not in g.edges and (c, p) not in g.edges:
                 try:
-                    yield g.add_edge(p, c)
+                    yield Dag(g.nodes, g.edges | {(p, c)})
                 except Exception:
                     pass
     for p, c in g.edges:
-        yield g.remove_edge(p, c)
+        yield Dag(g.nodes, g.edges - {(p, c)})
         try:
-            yield g.reverse_edge(p, c)
+            yield Dag(g.nodes, g.edges - {(p, c)} | {(c, p)})
         except Exception:
             pass
 

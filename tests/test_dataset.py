@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from mixbn.dataset import (
     CATEGORICAL,
@@ -13,6 +14,8 @@ from mixbn.dataset import (
     select_rows,
 )
 from mixbn.errors import DatasetError
+from mixbn.parameters import fit_cpt
+from mixbn.structure import hill_climb, k2_family_score
 
 
 def make(columns, rows):
@@ -168,3 +171,28 @@ class TestSelectRows:
         d = make(AB, [("a", 1.0)] * 3)
         with pytest.raises(DatasetError):
             select_rows(d, [5])
+
+    def test_subset_behaves_like_the_same_rows_built_fresh(self):
+        schema = (ColumnSchema("K", CATEGORICAL), ColumnSchema("L", CATEGORICAL),
+                  ColumnSchema("V", CONTINUOUS))
+        v_cycle = [1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 5.0, 5.0]
+        rows = [("abc"[i % 3], "xy"[i % 5 % 2], v_cycle[i % 8]) for i in range(72)]
+        keep = [i for i, r in enumerate(rows) if r[0] != "c"]
+        sub = select_rows(make([(c.name, c.kind) for c in schema], rows), keep)
+        fresh = Dataset(schema, [rows[i] for i in keep])
+        assert sub.rows == fresh.rows
+        dsub, edges = quantile_discretize(sub, 4)
+        dfresh, _ = quantile_discretize(fresh, 4)
+        # the last edge is the column maximum, so the top bin "3" is empty
+        assert edges["V"][-1] == 5.0
+        assert {r[2] for r in dsub.rows} == {"0", "1", "2"}
+        for child, parents in (("K", []), ("K", ["L", "V"]), ("V", ["K"]), ("L", ["V"])):
+            assert k2_family_score(dsub, child, parents) == k2_family_score(dfresh, child, parents)
+            assert fit_cpt(dsub, child, parents) == fit_cpt(dfresh, child, parents)
+        assert fit_cpt(sub, "K", ["L"]).states == ("a", "b")
+        assert fit_cpt(dsub, "V", ["K"]).states == ("0", "1", "2")
+        # K2 counts two states for K: the label "c" left the table with its rows
+        n_a, n_b = sum(rows[i][0] == "a" for i in keep), sum(rows[i][0] == "b" for i in keep)
+        expected = gammaln(2) - gammaln(n_a + n_b + 2) + gammaln(n_a + 1) + gammaln(n_b + 1)
+        assert k2_family_score(dsub, "K", []) == pytest.approx(expected, abs=1e-9)
+        assert hill_climb(dsub) == hill_climb(dfresh)

@@ -10,46 +10,18 @@ def dag(nodes, edges=()):
     return Dag(tuple(nodes), frozenset(edges))
 
 
-class TestAddEdge:
-    def test_add(self):
-        g = dag("ABC", {("A", "B")}).add_edge("B", "C")
-        assert g.edges == {("A", "B"), ("B", "C")}
-
+class TestConstructor:
     def test_cycle_refused(self):
-        g = dag("ABC", {("A", "B"), ("B", "C")})
         with pytest.raises(CycleError):
-            g.add_edge("C", "A")
+            dag("ABC", {("A", "B"), ("B", "C"), ("C", "A")})
 
     def test_self_loop_refused(self):
         with pytest.raises(GraphError):
-            dag("A").add_edge("A", "A")
+            dag("A", {("A", "A")})
 
     def test_unknown_node(self):
         with pytest.raises(GraphError):
-            dag("AB").add_edge("A", "Z")
-
-    def test_duplicate_edge(self):
-        with pytest.raises(GraphError):
-            dag("AB", {("A", "B")}).add_edge("A", "B")
-
-
-class TestReverseEdge:
-    def test_simple_flip(self):
-        g = dag("AB", {("A", "B")}).reverse_edge("A", "B")
-        assert g.edges == {("B", "A")}
-
-    def test_cyclic_reversal_refused(self):
-        g = dag("ABC", {("A", "B"), ("B", "C"), ("A", "C")})
-        with pytest.raises(CycleError):
-            g.reverse_edge("A", "C")
-
-    def test_missing_edge(self):
-        with pytest.raises(GraphError):
-            dag("AB").reverse_edge("A", "B")
-
-    def test_self_inverse_when_both_directions_acyclic(self):
-        g = dag("ABC", {("A", "B"), ("A", "C")})
-        assert g.reverse_edge("A", "B").reverse_edge("B", "A") == g
+            dag("AB", {("A", "Z")})
 
 
 class TestTopologicalOrder:
@@ -66,13 +38,10 @@ class TestTopologicalOrder:
         rng = random.Random(11)
         for _ in range(30):
             nodes = [f"n{i}" for i in range(6)]
-            g = dag(nodes)
-            for _ in range(10):
-                p, c = rng.sample(nodes, 2)
-                try:
-                    g = g.add_edge(p, c)
-                except (CycleError, GraphError):
-                    pass
+            # edges point forward in a random node order, so the graph is acyclic
+            rank = rng.sample(nodes, len(nodes))
+            edges = {tuple(sorted(rng.sample(nodes, 2), key=rank.index)) for _ in range(10)}
+            g = dag(nodes, edges)
             order = g.topological_order()
             for p, c in g.edges:
                 assert order.index(p) < order.index(c)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,14 @@ INVALID = {
     "coefficients not an object": set_key(lambda o: (node(o, "Z")["distribution"], "coefficients"), [1.0]),
     "intercept not a number": set_key(lambda o: (node(o, "Z")["distribution"], "intercept"), "abc"),
     "probabilities not a list": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), 1.0),
+    "probabilities NaN": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), [math.nan] * 2),
+    "intercept NaN": set_key(lambda o: (node(o, "Z")["distribution"], "intercept"), math.nan),
+    "coefficient infinite": set_key(lambda o: (node(o, "Z")["distribution"]["coefficients"], "Y"), math.inf),
+    "fallback intercept NaN": set_key(lambda o: (node(o, "X")["distribution"]["fallback"], "intercept"), math.nan),
+    "residual variance negative": set_key(lambda o: (node(o, "Z")["distribution"], "residual_variance"), -5.0),
+    "residual variance infinite": set_key(lambda o: (node(o, "Z")["distribution"], "residual_variance"), math.inf),
+    "CLG key label unknown to its parent": rekey("X", '["a0"]', '["zz"]'),
+    "CLG key label of another parent": rekey("Y", '["a0", "b0"]', '["b0", "a0"]'),
 }
 
 

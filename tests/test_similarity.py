@@ -203,19 +203,46 @@ class TestNearestAnalogues:
         q = AnalogueQuery(("x", 5.0), DistanceSpec("gower"), 3)
         assert sorted(nearest_analogues(q, pool)) == [0, 1, 2]
 
-    def test_matches_brute_force_sort_oracle(self):
+    @pytest.mark.parametrize("metric", ["gower", "gower_weighted", "cosine", "filter"])
+    def test_matches_brute_force_sort_oracle(self, metric):
         rng = random.Random(13)
+        schema = MIXED + (ColumnSchema("L", CATEGORICAL), ColumnSchema("W", CONTINUOUS))
+
+        def cell(value):
+            return None if rng.random() < 0.1 else value
+
+        # W is rounded so that some rows tie on their key
         rows = tuple(
-            (rng.choice(["a", "b", "c"]), rng.uniform(0, 20)) for _ in range(10)
+            (cell(rng.choice("abc")), cell(rng.uniform(0, 20)), cell(rng.choice("xy")),
+             cell(round(rng.uniform(-5, 5), 1)))
+            for _ in range(200)
         )
-        pool = Dataset(MIXED, rows)
-        target = ("a", 10.0)
+        pool = Dataset(schema, rows)
+        assert sum(v is None for r in rows for v in r) > 0.08 * 4 * len(rows)
         ranges = normalize_ranges(pool)
-        s = DistanceSpec("gower", ranges=ranges)
-        dists = [gower_distance(r, target, MIXED, s) for r in rows]
-        oracle = sorted(range(10), key=lambda i: (dists[i], i))
-        q = AnalogueQuery(target, DistanceSpec("gower"), 10)
-        assert nearest_analogues(q, pool) == oracle
+        weights = {"K": 1.0, "V": 0.5, "L": 2.0, "W": 3.0} if metric == "gower_weighted" else {}
+        epsilon = 0.1 if metric == "filter" else None
+
+        def close_count(row, target):
+            count = 0
+            for col, a, b in zip(schema, row, target):
+                if a is not None and b is not None:
+                    lo, hi = ranges.get(col.name, (0.0, 0.0))
+                    count += a == b if col.kind == CATEGORICAL else abs(a - b) <= epsilon * (hi - lo)
+            return count
+
+        # the second target misses a column and holds a label no pool row has
+        for target in (("a", 10.0, "x", 0.5), ("z", 3.0, None, -1.0)):
+            if metric == "filter":
+                keys = [-close_count(r, target) for r in rows]
+            elif metric == "cosine":
+                keys = [cosine_distance(r, target, schema, ranges) for r in rows]
+            else:
+                s = DistanceSpec(metric, weights=weights, ranges=ranges)
+                keys = [gower_distance(r, target, schema, s) for r in rows]
+            oracle = sorted(range(len(rows)), key=lambda i: (keys[i], i))
+            q = AnalogueQuery(target, DistanceSpec(metric, weights=weights, epsilon=epsilon), len(rows))
+            assert nearest_analogues(q, pool) == oracle
 
     def test_filter_honours_explicit_ranges(self):
         pool = Dataset(MIXED, (("x", 0.0), ("t", 10.0), ("t", 100.0)))
