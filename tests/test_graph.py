@@ -15,6 +15,11 @@ class TestConstructor:
         with pytest.raises(CycleError):
             dag("ABC", {("A", "B"), ("B", "C"), ("C", "A")})
 
+    def test_cycle_beside_acyclic_tail_refused(self):
+        # the chain A->B->C->D->E with its shortcut A->D turned round to D->A
+        with pytest.raises(CycleError):
+            dag("ABCDE", {("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"), ("D", "E")})
+
     def test_self_loop_refused(self):
         with pytest.raises(GraphError):
             dag("A", {("A", "A")})
