@@ -9,7 +9,6 @@ tie-break downstream (topological order, search move ordering).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import CycleError, GraphError
 
@@ -68,11 +67,3 @@ class EdgeConstraints:
 
     def __post_init__(self):
         object.__setattr__(self, "required_edges", frozenset(self.required_edges))
-
-    def validate(self, nodes: Iterable[str]) -> None:
-        known = set(nodes)
-        for p, c in self.required_edges:
-            if p not in known or c not in known:
-                raise GraphError(f"required edge ({p!r}, {c!r}) references unknown node")
-        # acyclicity of the required set alone; CycleError if it fails
-        Dag(tuple(known), self.required_edges)

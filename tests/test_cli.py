@@ -71,6 +71,14 @@ class TestLearn:
                      "--expert-edges", str(edges), "--out", str(out)]) == 1
         assert "cycle" in capsys.readouterr().err.lower()
 
+    def test_expert_edge_naming_unknown_column_fails(self, small_data, tmp_path, capsys):
+        csv, schema = small_data
+        edges = tmp_path / "edges.json"
+        edges.write_text(json.dumps([["C1", "Nowhere"]]))
+        assert main(["learn", "--data", csv, "--schema", schema,
+                     "--expert-edges", str(edges), "--out", str(tmp_path / "model.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("edges", [[["C1", "C2", "C3"]], {"C1": "C2"}, "C1C2"])
     def test_malformed_expert_edges_are_an_input_error(self, small_data, tmp_path, capsys, edges):
         csv, schema = small_data

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from synth import random_binary_dataset
+
 from mixbn.errors import CycleError, GraphError
 from mixbn.graph import Dag, EdgeConstraints
+from mixbn.structure import hill_climb
 
 
 def dag(nodes, edges=()):
@@ -64,11 +67,14 @@ class TestParents:
 
 
 class TestEdgeConstraints:
+    """The search's start graph, Dag(nodes, required_edges), checks the required set."""
+
     def test_unknown_node_rejected(self):
-        with pytest.raises(GraphError):
-            EdgeConstraints(frozenset({("A", "Z")})).validate(["A", "B"])
+        with pytest.raises(GraphError, match="unknown node"):
+            hill_climb(random_binary_dataset(0, 10, names=("A", "B")),
+                       EdgeConstraints(frozenset({("A", "Z")})))
 
     def test_cyclic_required_set_rejected(self):
         ec = EdgeConstraints(frozenset({("A", "B"), ("B", "A")}))
         with pytest.raises(CycleError):
-            ec.validate(["A", "B"])
+            hill_climb(random_binary_dataset(0, 10, names=("A", "B")), ec)

@@ -1,13 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from synth import random_binary_dataset
+from k2_reference import hill_climb_reference
+from synth import clg5_dataset, clg5_weak_dataset, random_binary_dataset, reservoir_like_dataset
 
-from mixbn.dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset
+from mixbn import structure
+from mixbn.dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset, quantile_discretize
 from mixbn.errors import GraphError, StructureError
 from mixbn.graph import Dag, EdgeConstraints
+from mixbn.parameters import mixlearn
 from mixbn.structure import (
     FamilyScoreCache,
     hill_climb,
@@ -87,6 +92,23 @@ class TestK2FamilyScore:
         d = Dataset((ColumnSchema("A", CONTINUOUS),), ((1.0,),))
         with pytest.raises(StructureError):
             k2_family_score(d, "A", [])
+
+    def test_high_cardinality_parents_match_oracle(self):
+        # 60**4 parent configurations on 200 rows: the codes must be compacted
+        rng = np.random.default_rng(0)
+        cols = {p: [f"v{k}" for k in rng.integers(0, 60, 200)] for p in ("P1", "P2", "P3", "P4")}
+        cols["Y"] = [("y0", "y1", "y2")[k] for k in rng.integers(0, 3, 200)]
+        cols["P2"][::7] = [None] * len(cols["P2"][::7])
+        d = cat_dataset(cols)
+        parents = ["P4", "P1", "P3", "P2"]
+        tracemalloc.start()
+        try:
+            score = k2_family_score(d, "Y", parents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert score == pytest.approx(oracle_family_score(d, "Y", parents), abs=1e-9)
+        assert peak < 2**20  # counting arrays stay near rows x cardinality
 
     def test_missing_rows_excluded_per_family(self):
         d = cat_dataset({"A": ["x", "y", None], "B": [None, "p", "q"]})
@@ -187,6 +209,88 @@ class TestHillClimb:
         ec = EdgeConstraints(frozenset({("A", "B")}))
         with pytest.raises(GraphError):
             hill_climb(d, constraints=ec, forbidden=lambda p, c: True)
+
+
+    def test_move_whose_family_has_no_complete_rows_is_skipped(self):
+        # A is present on odd rows only and B on even rows only
+        schema = (ColumnSchema("A", CATEGORICAL), ColumnSchema("B", CATEGORICAL),
+                  ColumnSchema("X", CONTINUOUS))
+        rows = [
+            (None if i % 2 == 0 else ("a0", "a1")[i % 4 // 2],
+             None if i % 2 == 1 else ("b0", "b1", "b2")[i % 3],
+             float(i % 4 // 2 * 3.0 + 0.1 * (i % 5)))
+            for i in range(60)
+        ]
+        d = Dataset(schema, rows)
+        model = mixlearn(d, bins=3)
+        assert not {("A", "B"), ("B", "A")} & model.dag.edges
+        with pytest.raises(StructureError, match="no complete-case rows"):
+            mixlearn(d, EdgeConstraints(frozenset({("A", "B")})), bins=3)
+
+    def test_constructs_the_cache_class_through_the_module_global(self, monkeypatch):
+        # bench/tracing.py counts family scores by patching this name the same way
+        made = []
+
+        class Recorded(structure.FamilyScoreCache):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(structure, "FamilyScoreCache", Recorded)
+        d = _with_blanks(reservoir_like_dataset(3, 200), 0.05, 3)
+        disc, _ = quantile_discretize(d, 5)
+        guard = orientation_guard(d.schema)
+        dag = hill_climb(disc, forbidden=guard)
+        ref_dag, ref_scores = hill_climb_reference(disc, forbidden=guard)
+        assert dag == ref_dag
+        assert len(made) == 1
+        assert made[0].misses == len(ref_scores)
+
+
+def _with_blanks(d, rate, seed):
+    """d with each cell blanked with probability rate."""
+    rng = np.random.default_rng(seed)
+    rows = [tuple(None if rng.random() < rate else v for v in row) for row in d.rows]
+    return Dataset(d.schema, rows)
+
+
+_GENERATORS = {
+    "clg5": (clg5_dataset, frozenset({("A", "X"), ("B", "Y")})),
+    "clg5_weak": (clg5_weak_dataset, frozenset({("A", "X"), ("B", "Y")})),
+    "reservoir": (reservoir_like_dataset, frozenset({("Period", "Lithology"), ("Lithology", "Porosity")})),
+}
+_REFERENCE_CASES = [
+    (generator, n_rows, max_parents, required)
+    for generator in _GENERATORS
+    for n_rows in (40, 500)
+    for max_parents in (1, 2, 4)
+    for required in ("none", "removable", "protected")
+]
+
+
+@pytest.mark.parametrize(
+    "seed, generator, n_rows, bins, max_parents, required",
+    [
+        pytest.param(seed, g, n, 3 if seed % 2 else 5, mp, req, id=f"{seed}-{g}-{n}rows-mp{mp}-{req}")
+        for seed, (g, n, mp, req) in enumerate(_REFERENCE_CASES)
+    ],
+)
+def test_search_and_scores_match_the_full_rescan_reference(
+    seed, generator, n_rows, bins, max_parents, required
+):
+    make, edges = _GENERATORS[generator]
+    d = _with_blanks(make(seed, n_rows), 0.05, seed)
+    disc, _ = quantile_discretize(d, bins)
+    constraints = None
+    if required != "none":
+        constraints = EdgeConstraints(edges, removable=required == "removable")
+    guard = orientation_guard(d.schema)
+    dag = hill_climb(disc, constraints, max_parents=max_parents, forbidden=guard)
+    ref_dag, ref_scores = hill_climb_reference(disc, constraints, max_parents=max_parents, forbidden=guard)
+    assert dag == ref_dag
+    cache = FamilyScoreCache()
+    for (child, parents), score in ref_scores.items():
+        assert cache.get(disc, child, parents) == score
 
 
 def _single_moves(g):
