@@ -26,7 +26,6 @@ from .similarity import (  # noqa: F401
     AnalogueQuery,
     DistanceSpec,
     cosine_distance,
-    filter_analogues,
     gower_distance,
     nearest_analogues,
     penalty_weights,

@@ -1,7 +1,11 @@
 """Command-line surface: learn, restore, analogues, anomalies, eval, export-dot.
 
-Every command writes its outputs plus a run manifest (resolved config,
-seed, input digests, tool version, duration) next to the primary output.
+Each ``cmd_*`` maps parsed arguments to its output and the input paths it
+read.  The output is the model file or DOT text for ``learn`` and
+``export-dot``, and a JSON-able object otherwise.  ``main`` runs the
+command, writes the output to ``--out`` (JSON canonically: sorted keys,
+2-space indent) and a run manifest (resolved config, seed, input digests,
+tool version, duration) next to it.
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
 from __future__ import annotations
@@ -18,8 +22,7 @@ from .errors import MixbnError
 from .evaluation import ALL_DATASET, REGIMES, EvalConfig, format_report, run_eval, train_model
 from .graph import EdgeConstraints
 from .inference import anomaly_score, restore
-from .model_io import load as load_model
-from .model_io import save as save_model
+from .model_io import dumps, load as load_model
 from .parameters import mixlearn
 from .similarity import AnalogueQuery, metric_spec, nearest_analogues
 
@@ -32,19 +35,22 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out: str, command: str, config: dict, inputs: list[str], started: float) -> None:
-    config = {k: v for k, v in config.items() if k not in ("func", "command")}
+def _dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _write_manifest(args, inputs: list[str], started: float) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": config.get("seed"),
         "inputs": {p: _digest(p) for p in inputs},
         "version": __version__,
         "duration_seconds": round(time.monotonic() - started, 3),
     }
-    with open(out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    with open(args.out + ".manifest.json", "w") as fh:
+        fh.write(_dump(manifest))
 
 
 def _load_data(args) -> Dataset:
@@ -68,33 +74,20 @@ def _record_to_row(record: dict, dataset: Dataset) -> tuple:
 
 
 def _expert_constraints(args) -> EdgeConstraints:
-    if not getattr(args, "expert_edges", None):
+    if not args.expert_edges:
         return EdgeConstraints()
     with open(args.expert_edges) as fh:
         edges = json.load(fh)
     pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
     if not pairs or not all(isinstance(v, str) for e in edges for v in e):
         raise MixbnError(f"{args.expert_edges}: expected a JSON list of [parent, child] pairs")
-    return EdgeConstraints(
-        frozenset((p, c) for p, c in edges),
-        removable=bool(getattr(args, "allow_remove_expert_edges", False)),
-    )
+    return EdgeConstraints(frozenset(map(tuple, edges)), removable=args.allow_remove_expert_edges)
 
 
-def cmd_learn(args) -> int:
-    started = time.monotonic()
-    d = _load_data(args)
-    constraints = _expert_constraints(args)
-    model = mixlearn(
-        d,
-        constraints=constraints,
-        bins=args.bins,
-        max_parents=args.max_parents,
-    )
-    save_model(model, args.out)
-    inputs = [args.data, args.schema] + ([args.expert_edges] if args.expert_edges else [])
-    _write_manifest(args.out, "learn", vars(args).copy(), inputs, started)
-    return 0
+def cmd_learn(args) -> tuple[str, list[str]]:
+    d, constraints = _load_data(args), _expert_constraints(args)
+    model = mixlearn(d, constraints, bins=args.bins, max_parents=args.max_parents)
+    return dumps(model), [args.data, args.schema] + ([args.expert_edges] if args.expert_edges else [])
 
 
 def _obtain_model(args, record: dict):
@@ -110,53 +103,31 @@ def _obtain_model(args, record: dict):
     return model, [args.data, args.schema]
 
 
-def cmd_restore(args) -> int:
-    started = time.monotonic()
+def cmd_restore(args) -> tuple[dict, list[str]]:
     record = _load_record(args.record)
     model, inputs = _obtain_model(args, record)
-    inputs.append(args.record)
-    completed = restore(model, record, args.samples, args.seed)
-    with open(args.out, "w") as fh:
-        json.dump(completed, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(args.out, "restore", vars(args).copy(), inputs, started)
-    return 0
+    return restore(model, record, args.samples, args.seed), inputs + [args.record]
 
 
-def cmd_analogues(args) -> int:
-    started = time.monotonic()
+def cmd_analogues(args) -> tuple[dict, list[str]]:
     dataset = _load_data(args)
     row = _record_to_row(_load_record(args.record), dataset)
     spec = metric_spec(args.metric, dataset, args.weight, args.epsilon)
     idxs = nearest_analogues(AnalogueQuery(row, spec, args.n_analogues), dataset)
-    with open(args.out, "w") as fh:
-        json.dump({"metric": args.metric, "indices": idxs}, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(args.out, "analogues", vars(args).copy(), [args.data, args.schema, args.record], started)
-    return 0
+    return {"metric": args.metric, "indices": idxs}, [args.data, args.schema, args.record]
 
 
-def cmd_anomalies(args) -> int:
-    started = time.monotonic()
+def cmd_anomalies(args) -> tuple[dict, list[str]]:
     model = load_model(args.model)
     record = _load_record(args.record)
     score, flag = anomaly_score(model, record, args.target, args.samples, args.seed)
-    with open(args.out, "w") as fh:
-        json.dump(
-            {"target": args.target, "score": score if score != float("inf") else "inf",
-             "is_anomaly": flag},
-            fh, indent=2,
-        )
-        fh.write("\n")
-    _write_manifest(args.out, "anomalies", vars(args).copy(), [args.model, args.record], started)
-    return 0
+    score = score if score != float("inf") else "inf"
+    return {"target": args.target, "score": score, "is_anomaly": flag}, [args.model, args.record]
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
-    d = _load_data(args)
+def cmd_eval(args) -> tuple[dict, list[str]]:
     cfg = EvalConfig(
-        regimes=tuple(r.replace("-", "_") for r in args.regimes),
+        regimes=tuple(args.regimes),
         n_analogues=args.n_analogues,
         bins=args.bins,
         max_parents=args.max_parents,
@@ -168,18 +139,12 @@ def cmd_eval(args) -> int:
         max_rows=args.max_rows,
         train_on_perturbed=args.train_on_perturbed,
     )
-    report = run_eval(d, cfg)
-    with open(args.out, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    report = run_eval(_load_data(args), cfg)
     sys.stdout.write(format_report(report))
-    _write_manifest(args.out, "eval", {**vars(args), "regimes": list(cfg.regimes)},
-                    [args.data, args.schema], started)
-    return 0
+    return report.to_dict(), [args.data, args.schema]
 
 
-def cmd_export_dot(args) -> int:
-    started = time.monotonic()
+def cmd_export_dot(args) -> tuple[str, list[str]]:
     model = load_model(args.model)
     lines = ["digraph model {"]
     for node in model.dag.nodes:
@@ -188,10 +153,7 @@ def cmd_export_dot(args) -> int:
     for p, c in sorted(model.dag.edges):
         lines.append(f'  "{p}" -> "{c}";')
     lines.append("}")
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_manifest(args.out, "export-dot", vars(args).copy(), [args.model], started)
-    return 0
+    return "\n".join(lines) + "\n", [args.model]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,12 +172,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bins", type=int, default=5)
         p.add_argument("--max-parents", type=int, default=4)
 
+    def add_analogue_opts(p):
+        p.add_argument("--n-analogues", type=int, default=40)
+        p.add_argument("--weight", type=float, help="continuous-column weight for gower-weighted")
+        p.add_argument("--epsilon", type=float, default=0.1)
+
+    def add_sampling_opts(p):
+        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser("learn", help="learn a model from a dataset")
     add_data(p)
     add_learn_opts(p)
     p.add_argument("--expert-edges", help="JSON list of [parent, child] pairs")
     p.add_argument("--allow-remove-expert-edges", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("restore", help="fill missing fields of a record")
@@ -224,62 +194,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", help="JSON column schema (with --data)")
     p.add_argument("--record", required=True, help="record JSON with null for missing")
     p.add_argument("--metric", help="train on analogues under this metric")
-    p.add_argument("--n-analogues", type=int, default=40)
-    p.add_argument("--weight", type=float, help="continuous-column weight for gower-weighted")
-    p.add_argument("--epsilon", type=float, default=0.1)
+    add_analogue_opts(p)
     add_learn_opts(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    add_sampling_opts(p)
     p.set_defaults(func=cmd_restore)
 
     p = sub.add_parser("analogues", help="rank nearest analogues of a record")
     add_data(p)
     p.add_argument("--record", required=True)
     p.add_argument("--metric", default="gower")
-    p.add_argument("--n-analogues", type=int, default=40)
-    p.add_argument("--weight", type=float)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--out", required=True)
+    add_analogue_opts(p)
     p.set_defaults(func=cmd_analogues)
 
     p = sub.add_parser("anomalies", help="score one record's target parameter")
     p.add_argument("--model", required=True)
     p.add_argument("--record", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    add_sampling_opts(p)
     p.set_defaults(func=cmd_anomalies)
 
     p = sub.add_parser("eval", help="run the full evaluation harness")
     add_data(p)
-    p.add_argument("--regimes", nargs="+", default=list(REGIMES))
-    p.add_argument("--n-analogues", type=int, default=40)
+    # regime names are normalized here, so the manifest records what ran
+    p.add_argument("--regimes", nargs="+", default=list(REGIMES),
+                   type=lambda r: r.replace("-", "_"))
+    add_analogue_opts(p)
     add_learn_opts(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    add_sampling_opts(p)
     p.add_argument("--anomaly-fraction", type=float, default=0.10)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--weight", type=float)
     p.add_argument("--max-rows", type=int, help="evaluate a seeded subsample of rows")
     p.add_argument("--train-on-perturbed", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-dot", help="write the model graph as DOT")
     p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_dot)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        output, inputs = args.func(args)
+        with open(args.out, "w") as fh:
+            fh.write(output if isinstance(output, str) else _dump(output))
+        _write_manifest(args, inputs, started)
+        return 0
     except (MixbnError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -68,6 +68,10 @@ class EvalConfig:
             raise EvaluationError("anomaly_fraction must be in (0, 1)")
         if self.m_samples < 1 or self.n_analogues < 1:
             raise EvaluationError("m_samples and n_analogues must be at least 1")
+        if self.gower_weight is not None and not 0 <= self.gower_weight < math.inf:
+            raise EvaluationError(f"gower_weight must be finite and >= 0, got {self.gower_weight}")
+        if self.max_rows is not None and self.max_rows < 1:
+            raise EvaluationError(f"max_rows must be at least 1, got {self.max_rows}")
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Dag values are immutable and their constructor refuses unknown nodes,
 self-loops and cycles, so a Dag in hand is always valid; a changed graph
-is a new ``Dag(nodes, edges)``.
+is a new ``Dag(nodes, edges)``.  The constructor also fixes each node's
+ordered parents and the topological order, so each read is a lookup.
 Node declaration order is significant: it drives every deterministic
 tie-break downstream (topological order, search move ordering).
 """
@@ -31,19 +32,9 @@ class Dag:
                 raise GraphError(f"edge ({p!r}, {c!r}) references unknown node")
             if p == c:
                 raise GraphError(f"self-loop on {p!r}")
-        # raises CycleError if the edge set is cyclic
-        self.topological_order()
-
-    def parents(self, node: str) -> frozenset[str]:
-        if node not in self.nodes:
-            raise GraphError(f"unknown node {node!r}")
-        return frozenset(p for p, c in self.edges if c == node)
-
-    def topological_order(self) -> list[str]:
-        """Kahn's algorithm; among ready nodes the earliest-declared wins."""
-        indeg = {n: 0 for n in self.nodes}
-        for _, c in self.edges:
-            indeg[c] += 1
+        parents = {c: tuple(p for p in self.nodes if (p, c) in self.edges) for c in self.nodes}
+        # Kahn's algorithm; among ready nodes the earliest-declared wins
+        indeg = {n: len(ps) for n, ps in parents.items()}
         order: list[str] = []
         remaining = list(self.nodes)
         while remaining:
@@ -52,10 +43,21 @@ class Dag:
                 raise CycleError("graph contains a directed cycle")
             order.append(ready)
             remaining.remove(ready)
-            for p, c in self.edges:
-                if p == ready:
+            for c in remaining:
+                if ready in parents[c]:
                     indeg[c] -= 1
-        return order
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_order", tuple(order))
+
+    def parents(self, node: str) -> tuple[str, ...]:
+        """Parents of node in declaration order."""
+        if node not in self._parents:
+            raise GraphError(f"unknown node {node!r}")
+        return self._parents[node]
+
+    def topological_order(self) -> list[str]:
+        """Nodes with every parent before its children; ties go to the earliest-declared."""
+        return list(self._order)
 
 
 @dataclass(frozen=True)

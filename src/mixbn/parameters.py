@@ -89,27 +89,27 @@ class BayesianNetworkModel:
         kind = self.node_kind.get
         for node in self.dag.nodes:
             dist, parents = self.distributions.get(node), self.dag.parents(node)
-            disc = {p for p in parents if kind(p) == CATEGORICAL}
+            disc = [p for p in parents if kind(p) == CATEGORICAL]
+            cont = set(parents) - set(disc)
             if kind(node) == CATEGORICAL:
-                fits, lgs = isinstance(dist, Cpt) and disc == parents, ()
+                fits, lgs = isinstance(dist, Cpt) and not cont, ()
             elif isinstance(dist, ConditionalLinearGaussian):
                 fits, lgs = kind(node) == CONTINUOUS, (dist.fallback, *dist.table.values())
             else:
                 fits, lgs = kind(node) == CONTINUOUS and isinstance(dist, LinearGaussian) and not disc, (dist,)
-            # table keys hold one state of each categorical parent, in schema order;
+            # table keys hold one state of each categorical parent, in parent order;
             # coefficients name continuous parents
-            states = [getattr(self.distributions.get(p), "states", ()) for p in self.dag.nodes if p in disc]
+            states = [getattr(self.distributions.get(p), "states", ()) for p in disc]
             fits = fits and all(
                 len(key) == len(disc) and all(lab in s for lab, s in zip(key, states))
                 for key in getattr(dist, "table", ())
             )
-            if not fits or any(set(lg.coefficients) - (parents - disc) for lg in lgs):
+            if not fits or any(set(lg.coefficients) - cont for lg in lgs):
                 raise ParameterError(f"node {node!r} has no distribution that fits its kind and parents")
 
     def parents_in_order(self, node: str) -> list[str]:
         """Parents of node in schema (declaration) order."""
-        ps = self.dag.parents(node)
-        return [n for n in self.dag.nodes if n in ps]
+        return list(self.dag.parents(node))
 
     def discrete_parents(self, node: str) -> list[str]:
         return [p for p in self.parents_in_order(node) if self.node_kind[p] == CATEGORICAL]
@@ -226,7 +226,7 @@ def mixlearn(
     kinds = {c.name: c.kind for c in d.schema}
     distributions: dict[str, Distribution] = {}
     for node in dag.nodes:
-        parents = [n for n in dag.nodes if n in dag.parents(node)]
+        parents = dag.parents(node)
         if kinds[node] == CATEGORICAL:
             distributions[node] = fit_cpt(d, node, parents)
         else:

@@ -34,6 +34,14 @@ METRICS = (GOWER, GOWER_WEIGHTED, COSINE, FILTER)
 
 @dataclass(frozen=True)
 class DistanceSpec:
+    """A metric and its settings.
+
+    ``weights`` (finite, >= 0; 1 when absent) weigh gower columns.  The
+    filter metric calls a variable close to the target when the labels
+    match, or, for a continuous one, when the values differ by at most
+    ``epsilon`` times the column's range.
+    """
+
     metric: str = GOWER
     weights: Mapping[str, float] = field(default_factory=dict)
     epsilon: Optional[float] = None
@@ -42,8 +50,8 @@ class DistanceSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise SimilarityError(f"unknown metric {self.metric!r} (choose from {list(METRICS)})")
-        if any(w < 0 for w in self.weights.values()):
-            raise SimilarityError("weights must be non-negative")
+        if not all(0 <= w < math.inf for w in self.weights.values()):
+            raise SimilarityError("weights must be finite and non-negative")
         if self.metric == FILTER:
             if self.epsilon is None or not 0 < self.epsilon <= 1:
                 raise SimilarityError("filter metric requires epsilon in (0, 1]")
@@ -59,6 +67,10 @@ class AnalogueQuery:
     target: tuple
     spec: DistanceSpec
     n_analogues: int = 40
+
+    def __post_init__(self):
+        if self.n_analogues < 1:
+            raise SimilarityError(f"n_analogues must be at least 1, got {self.n_analogues}")
 
 
 def gower_distance(u: Row, t: Row, schema: Sequence[ColumnSchema], spec: DistanceSpec) -> float:
@@ -127,21 +139,14 @@ def cosine_distance(u: Row, t: Row, schema: Sequence[ColumnSchema], ranges: Rang
     return min(max(1.0 - dot / (nu * nt), 0.0), 1.0)
 
 
-def filter_analogues(target: Row, pool: Dataset, epsilon: float, n: int) -> list[int]:
-    """Level-by-level closeness filtering.
-
-    Level k admits rows close to the target in at least p - k of the p
-    variables; levels are emitted in order until n rows are collected,
-    rows within a level ordered by (close count desc, row index asc).
-    """
-    return nearest_analogues(AnalogueQuery(target, DistanceSpec(FILTER, epsilon=epsilon), n), pool)
-
-
 def nearest_analogues(q: AnalogueQuery, pool: Dataset) -> list[int]:
     """Ranked indices of the n nearest pool rows under the query's metric.
 
     Rows sort by (key, row index): the distance for gower, gower_weighted
-    and cosine, minus the close count for filter.  Continuous ranges come
+    and cosine, minus the close count for filter.  Filter ranking is
+    level-by-level closeness filtering: level k admits rows close to the
+    target in at least p - k of its p non-missing variables, and levels
+    are emitted in order until n rows are collected.  Continuous ranges come
     from the spec, or from the pool when the spec has none.  The caller is
     responsible for excluding the target itself from the pool
     (leave-one-out discipline).

@@ -123,6 +123,8 @@ class FamilyScoreCache:
 def k2_family_score(d: Dataset, child: str, parents: Iterable[str]) -> float:
     """Log K2 score of one node family on a discretized dataset."""
     parents = tuple(parents)
+    if child in parents or len(set(parents)) != len(parents):
+        raise StructureError(f"family ({child!r} | {list(parents)}) names a node twice")
     _require_discrete(d, (child, *parents))
     return FamilyScoreCache().get(d, child, parents)
 

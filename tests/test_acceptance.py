@@ -30,7 +30,6 @@ from mixbn.similarity import (
     AnalogueQuery,
     DistanceSpec,
     cosine_distance,
-    filter_analogues,
     gower_distance,
     nearest_analogues,
 )
@@ -213,7 +212,8 @@ def test_distance_axioms_on_randomized_pairs(capsys):
         (rng.choice(["a", "b"]), rng.choice(["p", "q"]), rng.uniform(0, 10), rng.uniform(-3, 3))
         for _ in range(30)
     ))
-    levels = [filter_analogues(target, clean_pool, 0.3, n) for n in (3, 8, 15, 30)]
+    filtered = DistanceSpec("filter", epsilon=0.3)
+    levels = [nearest_analogues(AnalogueQuery(target, filtered, n), clean_pool) for n in (3, 8, 15, 30)]
     for smaller, larger in zip(levels, levels[1:]):
         if not set(smaller) <= set(larger):
             ok = False

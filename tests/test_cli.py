@@ -201,6 +201,34 @@ class TestDegeneratePool:
         assert capsys.readouterr().err.startswith("error: degenerate pool")
 
 
+class TestBadAnalogueAndEvalInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analogues", "--metric", "gower-weighted", "--weight", "nan"],
+            ["analogues", "--metric", "gower-weighted", "--weight", "inf"],
+            ["analogues", "--n-analogues", "-3"],
+            ["analogues", "--n-analogues", "0"],
+            ["restore", "--metric", "gower-weighted", "--weight", "nan"],
+            ["eval", "--regimes", "gower-weighted", "--weight", "nan", "--max-rows", "2"],
+            ["eval", "--regimes", "gower", "--weight", "nan", "--max-rows", "2"],
+            ["eval", "--max-rows", "-1"],
+            ["eval", "--max-rows", "0"],
+        ],
+    )
+    def test_fails_with_an_input_error(self, small_data, tmp_path, capsys, argv):
+        csv, schema = small_data
+        d = cluster_dataset(0, 60)
+        record = {c.name: v for c, v in zip(d.schema, d.rows[3])}
+        record["X1"] = None
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps(record))
+        extra = ["--samples", "10"] if argv[0] == "eval" else ["--record", str(rec_path)]
+        assert main([*argv, *extra, "--data", csv, "--schema", schema,
+                     "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestAnomalies:
     def test_scores_record(self, small_data, tmp_path):
         csv, schema = small_data

@@ -16,7 +16,7 @@ from mixbn.evaluation import (
     run_eval,
     train_model,
 )
-from mixbn.similarity import AnalogueQuery, DistanceSpec, filter_analogues, nearest_analogues
+from mixbn.similarity import AnalogueQuery, DistanceSpec, nearest_analogues
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -158,7 +158,8 @@ class TestTrainModel:
         _, idx = train_model(d, row, "gower", 10, bins=3, max_parents=4)
         assert idx == nearest_analogues(AnalogueQuery(row, DistanceSpec("gower"), 10), d)
         _, idx = train_model(d, row, "filter", 10, bins=3, max_parents=4, epsilon=0.3)
-        assert idx == filter_analogues(row, d, 0.3, 10)
+        filtered = AnalogueQuery(row, DistanceSpec("filter", epsilon=0.3), 10)
+        assert idx == nearest_analogues(filtered, d)
 
 
 class TestAnomalyBenchmark:

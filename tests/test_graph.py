@@ -58,8 +58,12 @@ class TestTopologicalOrder:
 class TestParents:
     def test_parent_set(self):
         g = dag("ABC", {("A", "C"), ("B", "C")})
-        assert g.parents("C") == {"A", "B"}
-        assert g.parents("A") == frozenset()
+        assert g.parents("C") == ("A", "B")
+        assert g.parents("A") == ()
+
+    def test_parents_follow_declaration_order_not_edge_order(self):
+        g = Dag(("C", "A", "X", "B"), [("A", "X"), ("B", "X"), ("C", "X")])
+        assert g.parents("X") == ("C", "A", "B")
 
     def test_unknown_node(self):
         with pytest.raises(GraphError):

@@ -10,7 +10,6 @@ from mixbn.similarity import (
     AnalogueQuery,
     DistanceSpec,
     cosine_distance,
-    filter_analogues,
     gower_distance,
     metric_spec,
     nearest_analogues,
@@ -151,13 +150,15 @@ def five_cat_pool(rows):
 class TestFilterAnalogues:
     def test_exact_duplicate_ranks_first(self):
         pool = five_cat_pool([("t",) * 5, ("t", "t", "x", "x", "x"), ("x",) * 5])
-        assert filter_analogues(("t",) * 5, pool, 0.5, 2) == [0, 1]
+        q = AnalogueQuery(("t",) * 5, DistanceSpec("filter", epsilon=0.5), 2)
+        assert nearest_analogues(q, pool) == [0, 1]
 
     def test_epsilon_one_degenerates_to_categorical_matching(self):
         schema = (ColumnSchema("K", CATEGORICAL), ColumnSchema("V", CONTINUOUS))
         pool = Dataset(schema, (("t", 0.0), ("t", 100.0), ("x", 50.0)))
         # V always close at eps=1, ranking driven by the label match
-        assert filter_analogues(("t", 50.0), pool, 1.0, 3) == [0, 1, 2]
+        q = AnalogueQuery(("t", 50.0), DistanceSpec("filter", epsilon=1.0), 3)
+        assert nearest_analogues(q, pool) == [0, 1, 2]
 
     def test_planted_closeness_counts(self):
         target = ("t",) * 5
@@ -170,21 +171,24 @@ class TestFilterAnalogues:
                 ("t", "t", "x", "x", "x"),  # 2
             ]
         )
-        assert filter_analogues(target, pool, 0.5, 3) == [0, 1, 2]
+        q = AnalogueQuery(target, DistanceSpec("filter", epsilon=0.5), 3)
+        assert nearest_analogues(q, pool) == [0, 1, 2]
 
     def test_level_nesting(self):
         target = ("t",) * 5
         pool = five_cat_pool(
             [tuple("t" if j < 5 - i else "x" for j in range(5)) for i in range(5)]
         )
-        admitted = [filter_analogues(target, pool, 0.5, n) for n in range(1, 6)]
+        filtered = DistanceSpec("filter", epsilon=0.5)
+        admitted = [nearest_analogues(AnalogueQuery(target, filtered, n), pool) for n in range(1, 6)]
         for smaller, larger in zip(admitted, admitted[1:]):
             assert set(smaller) <= set(larger)
 
     def test_pool_too_small(self):
         pool = five_cat_pool([("t",) * 5])
+        q = AnalogueQuery(("t",) * 5, DistanceSpec("filter", epsilon=0.5), 2)
         with pytest.raises(SimilarityError):
-            filter_analogues(("t",) * 5, pool, 0.5, 2)
+            nearest_analogues(q, pool)
 
 
 class TestNearestAnalogues:

@@ -93,6 +93,14 @@ class TestK2FamilyScore:
         with pytest.raises(StructureError):
             k2_family_score(d, "A", [])
 
+    def test_child_among_its_own_parents_rejected(self):
+        with pytest.raises(StructureError, match="names a node twice"):
+            k2_family_score(random_binary_dataset(0, 20), "A", ["A"])
+
+    def test_repeated_parent_rejected(self):
+        with pytest.raises(StructureError, match="names a node twice"):
+            k2_family_score(random_binary_dataset(0, 20), "A", ["B", "B"])
+
     def test_high_cardinality_parents_match_oracle(self):
         # 60**4 parent configurations on 200 rows: the codes must be compacted
         rng = np.random.default_rng(0)
