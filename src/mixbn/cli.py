@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .dataset import CONTINUOUS, Dataset, _check_value, load_csv, load_schema
+from .dataset import CONTINUOUS, Dataset, check_row, load_csv, load_schema
 from .errors import MixbnError
 from .evaluation import ALL_DATASET, REGIMES, EvalConfig, format_report, run_eval, train_model
 from .graph import EdgeConstraints
@@ -70,7 +70,9 @@ def _record_to_row(record: dict, dataset: Dataset) -> tuple:
     unknown = set(record) - set(dataset.names)
     if unknown:
         raise MixbnError(f"record names unknown columns {sorted(unknown)}")
-    return tuple(_check_value(record.get(col.name), col, 0) for col in dataset.schema)
+    row = tuple(record.get(name) for name in dataset.names)
+    check_row(row, dataset.schema, "record")
+    return row
 
 
 def _expert_constraints(args) -> EdgeConstraints:
@@ -137,7 +139,6 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
         epsilon=args.epsilon,
         gower_weight=args.weight,
         max_rows=args.max_rows,
-        train_on_perturbed=args.train_on_perturbed,
     )
     report = run_eval(_load_data(args), cfg)
     sys.stdout.write(format_report(report))
@@ -223,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_sampling_opts(p)
     p.add_argument("--anomaly-fraction", type=float, default=0.10)
     p.add_argument("--max-rows", type=int, help="evaluate a seeded subsample of rows")
-    p.add_argument("--train-on-perturbed", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-dot", help="write the model graph as DOT")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -51,10 +52,8 @@ class Dataset:
         for i, row in enumerate(rows):
             if len(row) != len(schema):
                 raise DatasetError(f"row {i} has {len(row)} values, expected {len(schema)}")
-        columns = [
-            _column(col, [_check_value(row[j], col, i) for i, row in enumerate(rows)], (None,))
-            for j, col in enumerate(schema)
-        ]
+            check_row(row, schema, f"row {i}")
+        columns = [_column(col, [row[j] for row in rows], (None,)) for j, col in enumerate(schema)]
         self._store(schema, len(rows), columns)
 
     @classmethod
@@ -101,16 +100,6 @@ class Dataset:
             mask &= self._present[self.col_index(name)]
         return mask
 
-    def with_values(self, name: str, values: np.ndarray) -> "Dataset":
-        """A copy of the table whose continuous column ``name`` holds ``values`` (NaN missing)."""
-        j = self.col_index(name)
-        values = np.array(values, dtype=np.float64)
-        if self.schema[j].kind != CONTINUOUS or values.shape != (self.n_rows,) or np.isinf(values).any():
-            raise DatasetError(f"column {name!r} takes {self.n_rows} finite or NaN values")
-        columns = list(self._columns)
-        columns[j] = (values, None)
-        return Dataset._from_columns(self.schema, self.n_rows, columns)
-
     def row(self, i: int) -> tuple:
         """Row i as Python cells: label, float, or None for missing."""
         cells = ((array[i].item(), labels) for array, labels in self._columns)
@@ -137,23 +126,23 @@ def _column(col: ColumnSchema, cells: Sequence, missing: tuple) -> tuple:
     return np.array([index[c] for c in cells], dtype=np.int64), labels
 
 
-def _check_value(v: Value, col: ColumnSchema, row_idx: int) -> Value:
-    if v is None:
+def cell_problem(v: Value, kind: str) -> Optional[str]:
+    """Why ``v`` is not a present cell of ``kind`` (a label ``str``, or a finite
+    real that is not a ``bool``), or None if it is."""
+    if kind == CATEGORICAL:
+        return None if isinstance(v, str) else f"expected a label, got {v!r}"
+    # NaN fails the comparison, and so does an int too large for a float
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
         return None
-    if col.kind == CATEGORICAL:
-        if not isinstance(v, str):
-            raise DatasetError(
-                f"row {row_idx}, column {col.name!r}: categorical column holds {v!r}"
-            )
-        return v
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DatasetError(
-            f"row {row_idx}, column {col.name!r}: continuous column holds {v!r}"
-        )
-    v = float(v)
-    if not math.isfinite(v):
-        raise DatasetError(f"row {row_idx}, column {col.name!r}: non-finite value")
-    return v
+    return f"expected a finite real, got {v!r}"
+
+
+def check_row(row: Sequence[Value], schema: Sequence[ColumnSchema], where: str) -> None:
+    """Raise DatasetError for the first cell of ``row`` that is neither missing nor valid."""
+    for col, v in zip(schema, row):
+        problem = None if v is None else cell_problem(v, col.kind)
+        if problem:
+            raise DatasetError(f"{where}, column {col.name!r}: {problem}")
 
 
 def schema_from_json(obj: Mapping) -> list[ColumnSchema]:

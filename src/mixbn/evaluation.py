@@ -56,7 +56,6 @@ class EvalConfig:
     epsilon: float = 0.1
     gower_weight: Optional[float] = None  # derived from penalties when None
     max_rows: Optional[int] = None  # evaluate a seeded row subsample
-    train_on_perturbed: bool = False  # anomaly benchmark training set choice
 
     def __post_init__(self):
         if not self.regimes:
@@ -72,6 +71,8 @@ class EvalConfig:
             raise EvaluationError(f"gower_weight must be finite and >= 0, got {self.gower_weight}")
         if self.max_rows is not None and self.max_rows < 1:
             raise EvaluationError(f"max_rows must be at least 1, got {self.max_rows}")
+        if self.seed < 0:
+            raise EvaluationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -107,6 +108,12 @@ def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
 def _row_seed(base: int, row: int, salt: int = 0) -> int:
     # per-record seeds independent of scheduling order
     return (base ^ (row * 0x9E3779B1) ^ (salt * 0x85EBCA77)) & 0x7FFFFFFF
+
+
+def _evidence_without(model: BayesianNetworkModel, names: list[str], row: tuple, left_out: str):
+    """The present fields of ``row`` other than ``left_out``, split by ``sanitize_evidence``."""
+    ev = {name: v for name, v in zip(names, row) if name != left_out and v is not None}
+    return sanitize_evidence(model, ev)
 
 
 def _derive_gower_weight(d: Dataset, cfg: EvalConfig) -> tuple[float, str]:
@@ -188,10 +195,7 @@ def leave_one_out(
                 truth = row[p_idx]
                 if truth is None:
                     continue
-                ev = {
-                    name: v for name, v in zip(params, row) if name != p and v is not None
-                }
-                valid_ev, dropped = sanitize_evidence(model, ev)
+                valid_ev, dropped = _evidence_without(model, params, row, p)
                 dropped_evidence += len(dropped)
                 try:
                     restored = restore(
@@ -233,8 +237,8 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
 
     For each continuous parameter, a seeded 10% (anomaly_fraction) of the
     non-missing values is replaced by uniform draws over the observed
-    [min, max] - in range, but jointly inconsistent.  By default the
-    model trains on the untouched remainder rows.
+    [min, max] - in range, but jointly inconsistent.  The model trains on
+    the untouched remainder rows.
     """
     ranges = normalize_ranges(d)
     cont = [c.name for c in d.schema if c.kind == CONTINUOUS]
@@ -257,18 +261,12 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
         values = d.array(target).copy()
         for i in sorted(injected):
             values[i] = rng.uniform(span[0], span[1])
-        if cfg.train_on_perturbed:
-            train = d.with_values(target, values)
-        else:
-            train = select_rows(d, [i for i in range(d.n_rows) if i not in injected])
+        train = select_rows(d, [i for i in range(d.n_rows) if i not in injected])
         model = mixlearn(train, bins=cfg.bins, max_parents=cfg.max_parents)
         scores: list[float] = []
         labels: list[bool] = []
         for i in present:
-            ev = {
-                name: v for name, v in zip(d.names, d.row(i)) if name != target and v is not None
-            }
-            valid_ev, _ = sanitize_evidence(model, ev)
+            valid_ev, _ = _evidence_without(model, d.names, d.row(i), target)
             try:
                 score, _flag = anomaly_score(
                     model,

@@ -1,5 +1,12 @@
 """Forward sampling with evidence, missing-value restoration, anomaly scoring.
 
+An evidence entry names a node of the model and holds a present cell of
+the node's kind under ``dataset.cell_problem``; a categorical label must be
+one of the node's states.  ``validate_evidence`` raises on the first bad
+entry and ``sanitize_evidence`` keeps the good ones in order.  A record
+given to ``restore`` or ``anomaly_score`` may hold None for missing, but
+not a field the model lacks; the anomaly target's value is checked too.
+
 Sampling walks nodes in topological order; evidence nodes are clamped to
 their observed values, everything else is drawn from its node
 distribution given the realized parent values.  Unseen parent
@@ -10,57 +17,64 @@ their whole-column parameters.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, Value
+from .dataset import CATEGORICAL, CONTINUOUS, Value, cell_problem
 from .errors import InferenceError
 from .parameters import BayesianNetworkModel, ConditionalLinearGaussian, Cpt
 
 Evidence = Mapping[str, Value]
 
 
+def _evidence_problem(model: BayesianNetworkModel, name: str, value: Value) -> Optional[str]:
+    """Why ``name = value`` is not evidence the model can take, or None if it is."""
+    if name not in model.dag.nodes:
+        return f"unknown node {name!r}"
+    kind = model.node_kind[name]
+    problem = cell_problem(value, kind)
+    if problem:
+        return f"node {name!r}: {problem}"
+    if kind == CATEGORICAL:
+        states = model.distributions[name].states
+        if value not in states:
+            return f"node {name!r}: label {value!r} unknown to the model (known: {list(states)})"
+    return None
+
+
 def validate_evidence(model: BayesianNetworkModel, ev: Evidence) -> None:
+    """Raise InferenceError for the first entry the model cannot take."""
     for name, value in ev.items():
-        if name not in model.dag.nodes:
-            raise InferenceError(f"evidence names unknown node {name!r}")
-        if value is None:
-            raise InferenceError(f"evidence for {name!r} is missing-valued")
-        kind = model.node_kind[name]
-        if kind == CATEGORICAL:
-            if not isinstance(value, str):
-                raise InferenceError(f"evidence for categorical {name!r} must be a label")
-            states = model.distributions[name].states
-            if value not in states:
-                raise InferenceError(
-                    f"evidence label {value!r} unknown to node {name!r} (known: {list(states)})"
-                )
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InferenceError(f"evidence for continuous {name!r} must be a number")
-            if not math.isfinite(float(value)):
-                raise InferenceError(f"evidence for {name!r} is non-finite")
+        problem = _evidence_problem(model, name, value)
+        if problem:
+            raise InferenceError(problem)
 
 
 def sanitize_evidence(
     model: BayesianNetworkModel, ev: Evidence
 ) -> tuple[dict[str, Value], list[str]]:
-    """Split evidence into the valid part and the names of dropped entries.
+    """Split evidence into the entries the model can take and the names of the rest.
 
     Used by batch harnesses where a held-out record may carry labels the
-    locally trained model never saw.
+    locally trained model never saw.  Both parts keep the order of ``ev``.
     """
     valid: dict[str, Value] = {}
     dropped: list[str] = []
     for name, value in ev.items():
-        try:
-            validate_evidence(model, {name: value})
-        except InferenceError:
+        if _evidence_problem(model, name, value):
             dropped.append(name)
         else:
             valid[name] = value
     return valid, dropped
+
+
+def _evidence(model: BayesianNetworkModel, record: Evidence, target: Optional[str] = None) -> dict:
+    """The present fields of ``record`` but ``target``; ``forward_sample`` checks their values."""
+    unknown = set(record) - set(model.dag.nodes)
+    if unknown:
+        raise InferenceError(f"record names unknown nodes {sorted(unknown)}")
+    return {k: v for k, v in record.items() if k != target and v is not None}
 
 
 def forward_sample(
@@ -72,6 +86,8 @@ def forward_sample(
     """
     if m <= 0:
         raise InferenceError(f"sample count must be positive, got {m}")
+    if seed < 0:
+        raise InferenceError(f"seed must be non-negative, got {seed}")
     validate_evidence(model, ev)
     rng = np.random.default_rng(seed)
     order = model.dag.topological_order()
@@ -126,13 +142,10 @@ def restore(
     Categorical gaps take the sample mode (ties by label order),
     continuous gaps the sample mean; observed fields pass through.
     """
-    unknown = set(record) - set(model.dag.nodes)
-    if unknown:
-        raise InferenceError(f"record names unknown nodes {sorted(unknown)}")
-    missing = [n for n in model.dag.nodes if record.get(n) is None]
+    ev = _evidence(model, record)
+    missing = [n for n in model.dag.nodes if n not in ev]
     if not missing:
         raise InferenceError("record has no missing fields; nothing to restore")
-    ev = {k: v for k, v in record.items() if v is not None}
     samples = forward_sample(model, ev, m, seed)
     out: dict[str, Value] = dict(record)
     for node in missing:
@@ -159,15 +172,11 @@ def anomaly_score(
     Returns (score, flag); the flag trips when the value lies outside two
     standard deviations of the sample.
     """
-    if target not in model.dag.nodes:
-        raise InferenceError(f"unknown target node {target!r}")
+    value = record.get(target)
+    validate_evidence(model, {target: value})
     if model.node_kind[target] != CONTINUOUS:
         raise InferenceError(f"target {target!r} is not continuous")
-    value = record.get(target)
-    if value is None:
-        raise InferenceError(f"target {target!r} is missing in the record")
-    ev = {k: v for k, v in record.items() if k != target and v is not None}
-    samples = forward_sample(model, ev, m, seed)
+    samples = forward_sample(model, _evidence(model, record, target), m, seed)
     drawn = np.asarray(samples[target], dtype=float)
     mean = float(drawn.mean())
     std = float(drawn.std())

@@ -214,6 +214,8 @@ class TestBadAnalogueAndEvalInputs:
             ["eval", "--regimes", "gower", "--weight", "nan", "--max-rows", "2"],
             ["eval", "--max-rows", "-1"],
             ["eval", "--max-rows", "0"],
+            ["restore", "--seed", "-1"],
+            ["eval", "--seed", "-1", "--max-rows", "2"],
         ],
     )
     def test_fails_with_an_input_error(self, small_data, tmp_path, capsys, argv):
@@ -300,6 +302,13 @@ class TestErrorSurface:
             ("anomalies", []),
             ("analogues", {"X1": "abc"}),
             ("analogues", {"X1": True}),
+            ("restore", {"X1": None, "Nope": None}),
+            ("anomalies", {"X1": 1.0, "Nope": None}),
+            ("anomalies", {"X1": "abc"}),
+            ("anomalies", {"X1": "5"}),
+            ("anomalies", {"X1": True}),
+            ("anomalies", {"X1": float("nan")}),
+            ("analogues", {"X1": 10**400}),
         ],
     )
     def test_malformed_record_is_an_input_error(self, small_data, tmp_path, capsys,

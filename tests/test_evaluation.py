@@ -176,14 +176,6 @@ class TestAnomalyBenchmark:
         cfg = EvalConfig(regimes=("all_dataset",), m_samples=60, seed=4)
         assert anomaly_benchmark(d, cfg) == anomaly_benchmark(d, cfg)
 
-    def test_train_on_perturbed_supported(self):
-        d = clg5_dataset(3, 150, noise=0.5)
-        cfg = EvalConfig(
-            regimes=("all_dataset",), m_samples=60, seed=5, train_on_perturbed=True
-        )
-        aucs = anomaly_benchmark(d, cfg)
-        assert set(aucs) == {"X", "Y", "Z"}
-
     def test_no_continuous_columns_rejected(self):
         d = Dataset((ColumnSchema("K", CATEGORICAL),), (("a",), ("b",)))
         with pytest.raises(EvaluationError):

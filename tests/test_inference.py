@@ -42,6 +42,21 @@ def lg_model(intercept=3.0, coef=0.5, resvar=0.01):
     )
 
 
+def mixed_model():
+    """Two categorical and two continuous roots, no edges."""
+    dag = Dag(("A", "B", "X", "Y"))
+    return BayesianNetworkModel(
+        dag,
+        {"A": CATEGORICAL, "B": CATEGORICAL, "X": CONTINUOUS, "Y": CONTINUOUS},
+        {
+            "A": Cpt(("a", "c"), {(): (0.5, 0.5)}),
+            "B": Cpt(("b", "d"), {(): (0.5, 0.5)}),
+            "X": LinearGaussian(0.0, {}, 1.0),
+            "Y": LinearGaussian(0.0, {}, 1.0),
+        },
+    )
+
+
 class TestForwardSample:
     def test_full_evidence_clamps_everything(self):
         model = chain_model()
@@ -75,6 +90,10 @@ class TestForwardSample:
         with pytest.raises(InferenceError):
             forward_sample(chain_model(), {}, 0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InferenceError, match="seed"):
+            forward_sample(chain_model(), {}, 5, seed=-1)
+
     def test_root_cpt_frequencies(self):
         model = chain_model()
         m = 10000
@@ -99,6 +118,29 @@ class TestSanitizeEvidence:
         valid, dropped = sanitize_evidence(model, {"A": "a", "B": "nope"})
         assert valid == {"A": "a"}
         assert dropped == ["B"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("Z", 1.0),  # unknown node
+            ("A", None),
+            ("X", None),
+            ("A", 1.0),  # wrong kind
+            ("X", "1.0"),
+            ("X", True),
+            ("X", math.nan),  # non-finite
+            ("Y", -math.inf),
+            ("B", "nope"),  # label the node does not know
+        ],
+    )
+    def test_drops_each_bad_entry_and_keeps_order(self, name, value):
+        good = [(k, v) for k, v in {"A": "a", "X": 1.0, "B": "d", "Y": 2.0}.items() if k != name]
+        ev = dict(good[:2] + [(name, value)] + good[2:])
+        valid, dropped = sanitize_evidence(mixed_model(), ev)
+        assert list(valid.items()) == good
+        assert dropped == [name]
+        with pytest.raises(InferenceError):
+            validate_evidence(mixed_model(), ev)
 
     def test_validate_type_mismatch(self):
         with pytest.raises(InferenceError):
