@@ -6,7 +6,7 @@ read.  The output is the model file or DOT text for ``learn`` and
 command, writes the output to ``--out`` (JSON canonically: sorted keys,
 2-space indent) and a run manifest (resolved config, seed, input digests,
 tool version, duration) next to it.
-Exit codes: 0 success, 1 input error, 2 internal invariant violation.
+Exit codes: 0 success, 1 input error (bad or unreadable input), 2 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .dataset import CONTINUOUS, Dataset, check_row, load_csv, load_schema
+from .dataset import CONTINUOUS, Dataset, check_row, load_csv, load_schema, read_json
 from .errors import MixbnError
 from .evaluation import ALL_DATASET, REGIMES, EvalConfig, format_report, run_eval, train_model
 from .graph import EdgeConstraints
@@ -59,8 +59,7 @@ def _load_data(args) -> Dataset:
 
 
 def _load_record(path: str) -> dict:
-    with open(path) as fh:
-        rec = json.load(fh)
+    rec = read_json(path)
     if not isinstance(rec, dict):
         raise MixbnError(f"{path}: record must be a JSON object")
     return rec
@@ -78,8 +77,7 @@ def _record_to_row(record: dict, dataset: Dataset) -> tuple:
 def _expert_constraints(args) -> EdgeConstraints:
     if not args.expert_edges:
         return EdgeConstraints()
-    with open(args.expert_edges) as fh:
-        edges = json.load(fh)
+    edges = read_json(args.expert_edges)
     pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
     if not pairs or not all(isinstance(v, str) for e in edges for v in e):
         raise MixbnError(f"{args.expert_edges}: expected a JSON list of [parent, child] pairs")
@@ -95,6 +93,9 @@ def cmd_learn(args) -> tuple[str, list[str]]:
 def _obtain_model(args, record: dict):
     """Model from --model, or trained for --record on --data (its analogues under --metric)."""
     if args.model:
+        given = [f"--{f}" for f in ("data", "schema", "metric", "weight") if getattr(args, f) is not None]
+        if given:
+            raise MixbnError(f"--model cannot be combined with {', '.join(given)}")
         return load_model(args.model), [args.model]
     if not (args.data and args.schema):
         raise MixbnError("provide either --model or both --data and --schema")
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
             fh.write(output if isinstance(output, str) else _dump(output))
         _write_manifest(args, inputs, started)
         return 0
-    except (MixbnError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (MixbnError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - invariant violations

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, MixbnError
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
@@ -147,16 +147,25 @@ def check_row(row: Sequence[Value], schema: Sequence[ColumnSchema], where: str) 
 
 def schema_from_json(obj: Mapping) -> list[ColumnSchema]:
     """Parse ``{"columns": [{"name": ..., "kind": ...}, ...]}``."""
-    try:
-        cols = obj["columns"]
-    except (KeyError, TypeError):
-        raise DatasetError('schema JSON must contain a "columns" list')
+    cols = obj.get("columns") if isinstance(obj, dict) else None
+    if not isinstance(cols, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("name"), str) and "kind" in c for c in cols):
+        raise DatasetError('schema JSON must contain a "columns" list of {"name", "kind"} objects')
     return [ColumnSchema(c["name"], c["kind"]) for c in cols]
 
 
+def read_json(path: str):
+    """The JSON value in a UTF-8 file.  Bad JSON, bad UTF-8 or an integer past
+    Python's digit limit raises MixbnError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise MixbnError(f"{path}: not a readable JSON file ({exc})") from None
+
+
 def load_schema(path: str) -> list[ColumnSchema]:
-    with open(path) as fh:
-        return schema_from_json(json.load(fh))
+    return schema_from_json(read_json(path))
 
 
 def load_csv(path: str, schema: Sequence[ColumnSchema]) -> Dataset:
@@ -167,7 +176,7 @@ def load_csv(path: str, schema: Sequence[ColumnSchema]) -> Dataset:
     continuous column must parse as a finite decimal real.
     """
     schema = tuple(schema)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

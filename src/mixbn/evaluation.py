@@ -159,7 +159,8 @@ def leave_one_out(
     """Per-parameter restoration quality under each configured regime.
 
     ``training_capture``, when given, receives (target original row index,
-    regime, training row original indices) for every trained model.
+    regime, training row original indices) for every trained model; one that
+    cannot be learned is counted in ``training_failures`` and skipped.
     """
     if d.n_rows < cfg.n_analogues + 1:
         raise EvaluationError(
@@ -176,6 +177,7 @@ def leave_one_out(
     skipped_rows = 0
     dropped_evidence = 0
     restore_failures = 0
+    training_failures = 0
     weight, weight_source = _derive_gower_weight(d, cfg)
 
     for t in targets:
@@ -186,9 +188,12 @@ def leave_one_out(
         others = [i for i in range(d.n_rows) if i != t]
         pool = select_rows(d, others)
         for regime in cfg.regimes:
-            model, train_local = train_model(
-                pool, row, regime, cfg.n_analogues, cfg.bins, cfg.max_parents, weight, cfg.epsilon
-            )
+            try:
+                model, train_local = train_model(pool, row, regime, cfg.n_analogues, cfg.bins,
+                                                 cfg.max_parents, weight, cfg.epsilon)
+            except MixbnError:
+                training_failures += 1
+                continue
             if training_capture is not None:
                 training_capture(t, regime, [others[i] for i in train_local])
             for p_idx, p in enumerate(params):
@@ -226,6 +231,7 @@ def leave_one_out(
         "rows_skipped": skipped_rows,
         "dropped_evidence_fields": dropped_evidence,
         "restore_failures": restore_failures,
+        "training_failures": training_failures,
         "gower_weight": weight,
         "gower_weight_source": weight_source,
     }

@@ -2,11 +2,13 @@
 
 Layout::
 
-    {"nodes": [{"name", "kind", "parents": [...], "distribution": {...}}, ...]}
+    {"nodes": [{"name", "parents": [...], "distribution": {...}}, ...]}
 
-The graph is the nodes' ordered ``"parents"`` lists.  The loader reads
-only the keys a model needs, so older files with extra keys still load; a
-missing key or a wrong-shaped entry raises ``ParameterError``.
+The graph is the nodes' ordered ``"parents"`` lists, and a node's kind is
+its distribution's type.  The loader reads only the keys a model needs,
+so older files with extra keys (``"kind"``, ``"edges"``, ``"bins"``,
+``"alpha"``) still load; a missing key or a wrong-shaped entry raises
+``ParameterError``.
 
 Association keys (parent-label tuples) are JSON-encoded label lists,
 e.g. ``'["a", "b"]'`` and ``'[]'`` for a parentless row, so any label
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 
+from .dataset import read_json
 from .errors import ParameterError
 from .graph import Dag
 from .parameters import (
@@ -86,35 +89,22 @@ def _distribution_from_dict(obj: dict):
     raise ParameterError(f"unknown distribution type tag {kind!r}")
 
 
-def model_to_dict(model: BayesianNetworkModel) -> dict:
-    nodes = []
-    for name in model.dag.nodes:
-        nodes.append(
-            {
-                "name": name,
-                "kind": model.node_kind[name],
-                "parents": model.parents_in_order(name),
-                "distribution": _distribution_to_dict(model.distributions[name]),
-            }
-        )
-    return {"nodes": nodes}
-
-
 def model_from_dict(obj: dict) -> BayesianNetworkModel:
     try:
         names = tuple(n["name"] for n in obj["nodes"])
         edges = frozenset((p, n["name"]) for n in obj["nodes"] for p in n["parents"])
-        kinds = {n["name"]: n["kind"] for n in obj["nodes"]}
         dists = {n["name"]: _distribution_from_dict(n["distribution"]) for n in obj["nodes"]}
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ParameterError):
             raise
         raise ParameterError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
-    return BayesianNetworkModel(Dag(names, edges), kinds, dists)
+    return BayesianNetworkModel(Dag(names, edges), dists)
 
 
 def dumps(model: BayesianNetworkModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n"
+    nodes = [{"name": name, "parents": model.parents_in_order(name),
+              "distribution": _distribution_to_dict(model.distributions[name])} for name in model.dag.nodes]
+    return json.dumps({"nodes": nodes}, sort_keys=True, indent=2) + "\n"
 
 
 def loads(text: str) -> BayesianNetworkModel:
@@ -127,5 +117,4 @@ def save(model: BayesianNetworkModel, path: str) -> None:
 
 
 def load(path: str) -> BayesianNetworkModel:
-    with open(path) as fh:
-        return loads(fh.read())
+    return model_from_dict(read_json(path))

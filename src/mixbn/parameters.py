@@ -14,7 +14,8 @@ the raw values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -80,32 +81,37 @@ Distribution = object  # Cpt | LinearGaussian | ConditionalLinearGaussian
 
 @dataclass(frozen=True)
 class BayesianNetworkModel:
+    """A DAG and one distribution per node.  A node is categorical if its distribution
+    is a ``Cpt`` and continuous otherwise; ``node_kind``, derived on construction, says which."""
+
     dag: Dag
-    node_kind: Mapping[str, str]
     distributions: Mapping[str, Distribution]
+    node_kind: Mapping[str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """Each node needs a distribution that fits its kind and its parents in the graph."""
-        kind = self.node_kind.get
+        """Each node needs a distribution that fits its parents in the graph."""
+        dists = self.distributions
+        kinds = {v: CATEGORICAL if isinstance(dists.get(v), Cpt) else CONTINUOUS for v in self.dag.nodes}
+        object.__setattr__(self, "node_kind", MappingProxyType(kinds))
         for node in self.dag.nodes:
-            dist, parents = self.distributions.get(node), self.dag.parents(node)
-            disc = [p for p in parents if kind(p) == CATEGORICAL]
+            dist, parents = dists.get(node), self.dag.parents(node)
+            disc = [p for p in parents if kinds[p] == CATEGORICAL]
             cont = set(parents) - set(disc)
-            if kind(node) == CATEGORICAL:
-                fits, lgs = isinstance(dist, Cpt) and not cont, ()
+            if isinstance(dist, Cpt):
+                fits, lgs = not cont, ()
             elif isinstance(dist, ConditionalLinearGaussian):
-                fits, lgs = kind(node) == CONTINUOUS, (dist.fallback, *dist.table.values())
+                fits, lgs = True, (dist.fallback, *dist.table.values())
             else:
-                fits, lgs = kind(node) == CONTINUOUS and isinstance(dist, LinearGaussian) and not disc, (dist,)
+                fits, lgs = isinstance(dist, LinearGaussian) and not disc, (dist,)
             # table keys hold one state of each categorical parent, in parent order;
             # coefficients name continuous parents
-            states = [getattr(self.distributions.get(p), "states", ()) for p in disc]
+            states = [dists[p].states for p in disc]
             fits = fits and all(
                 len(key) == len(disc) and all(lab in s for lab, s in zip(key, states))
                 for key in getattr(dist, "table", ())
             )
             if not fits or any(set(lg.coefficients) - cont for lg in lgs):
-                raise ParameterError(f"node {node!r} has no distribution that fits its kind and parents")
+                raise ParameterError(f"node {node!r} has no distribution that fits its parents")
 
     def parents_in_order(self, node: str) -> list[str]:
         """Parents of node in schema (declaration) order."""
@@ -116,16 +122,15 @@ class BayesianNetworkModel:
 
 
 def _groups(d: Dataset, names: Sequence[str], mask: np.ndarray) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """Label tuples of the combinations of names seen under mask, in order of first
-    appearance, and each row's combination number (-1 outside mask)."""
+    """Label tuples of the combinations of names seen under mask, in code order,
+    and each row's combination number (-1 outside mask)."""
     combined = np.zeros(d.n_rows, dtype=np.int64)
     for name in names:
         combined = combined * len(d.labels(name)) + d.array(name)
     _, first, inverse = np.unique(combined[mask], return_index=True, return_inverse=True)
-    order = np.argsort(first)
     group = np.full(d.n_rows, -1, dtype=np.int64)
-    group[mask] = np.argsort(order)[inverse]
-    rows = np.flatnonzero(mask)[first[order]].tolist()
+    group[mask] = inverse
+    rows = np.flatnonzero(mask)[first].tolist()
     return [tuple(d.labels(n)[d.array(n)[i]] for n in names) for i in rows], group
 
 
@@ -223,17 +228,16 @@ def mixlearn(
     disc_d, _ = quantile_discretize(d, bins)
     guard = orientation_guard(d.schema)
     dag = hill_climb(disc_d, constraints=constraints, max_parents=max_parents, forbidden=guard)
-    kinds = {c.name: c.kind for c in d.schema}
     distributions: dict[str, Distribution] = {}
     for node in dag.nodes:
         parents = dag.parents(node)
-        if kinds[node] == CATEGORICAL:
+        if d.kind(node) == CATEGORICAL:
             distributions[node] = fit_cpt(d, node, parents)
         else:
-            disc = [p for p in parents if kinds[p] == CATEGORICAL]
-            cont = [p for p in parents if kinds[p] == CONTINUOUS]
+            disc = [p for p in parents if d.kind(p) == CATEGORICAL]
+            cont = [p for p in parents if d.kind(p) == CONTINUOUS]
             if disc:
                 distributions[node] = fit_conditional_linear_gaussian(d, node, disc, cont)
             else:
                 distributions[node] = fit_linear_gaussian(d, node, cont)
-    return BayesianNetworkModel(dag, kinds, distributions)
+    return BayesianNetworkModel(dag, distributions)

@@ -179,7 +179,7 @@ def _ancestors(parents: list[int]) -> list[int]:
 # accepted move kinds in tie-break order
 _ADD, _DELETE, _REVERSE = 0, 1, 2
 _IMPROVE_EPS = 1e-9
-_EMPTY = object()  # delta of a move whose new family has no complete-case rows
+_EMPTY = object()  # slot of a family with no complete-case rows
 
 
 def hill_climb(
@@ -249,57 +249,47 @@ def hill_climb(
     cache = FamilyScoreCache()
     fam: list[Optional[float]] = [None] * n  # current family score, scored on first use
     slots: list[list] = [[None] * n for _ in range(n)]  # slots[c][q]: c's family with q toggled
-    deltas: list[list] = [[None] * n for _ in range(n)]  # slots[c][q] - fam[c], or _EMPTY
 
-    def fill(q: int, c: int):
-        try:
-            s = cache.get(d, nodes[c], names(parents[c] ^ (1 << q)))
-        except StructureError:
-            deltas[c][q] = _EMPTY
-            return _EMPTY
-        if fam[c] is None:
-            fam[c] = cache.get(d, nodes[c], names(parents[c]))
-        slots[c][q] = s
-        deltas[c][q] = s - fam[c]
-        return deltas[c][q]
+    def delta(q: int, c: int) -> Optional[float]:
+        """slots[c][q] - fam[c], filling the slot on first use; None if that family has no rows."""
+        s = slots[c][q]
+        if s is None:
+            try:
+                s = slots[c][q] = cache.get(d, nodes[c], names(parents[c] ^ (1 << q)))
+            except StructureError:
+                s = slots[c][q] = _EMPTY
+            if fam[c] is None and s is not _EMPTY:
+                fam[c] = cache.get(d, nodes[c], names(parents[c]))
+        return None if s is _EMPTY else s - fam[c]
 
     while True:
-        moves = []  # legal moves in scan order: (delta, kind, p, c)
+        best = None  # best legal move so far in scan order: (delta, kind, p, c)
         full = sum(1 << c for c in range(n) if parents[c].bit_count() >= max_parents)
         for p in range(n):
             for c in _bits(allowed[p] & ~(anc[p] | children[p] | full)):
-                delta = deltas[c][p]
-                if delta is None:
-                    delta = fill(p, c)
-                if delta is not _EMPTY:
-                    moves.append((delta, _ADD, p, c))
+                move = (delta(p, c), _ADD, p, c)
+                if move[0] is not None and _better(move, best):
+                    best = move
         for p in range(n):
             for c in _bits(children[p] & ~protected[p]):
                 # dropping a parent keeps every complete row, so this delta exists
-                delta = deltas[c][p]
-                if delta is None:
-                    delta = fill(p, c)
-                moves.append((delta, _DELETE, p, c))
+                move = (delta(p, c), _DELETE, p, c)
+                if _better(move, best):
+                    best = move
                 # reversal = delete p->c, add c->p
                 if not allowed[c] >> p & 1 or full >> p & 1:
                     continue
-                if any(anc[q] >> p & 1 for q in _bits(parents[c] ^ (1 << p))):
+                if any(anc[q] >> p & 1 for q in _bits(parents[c] ^ (1 << p))) or delta(c, p) is None:
                     continue
-                if deltas[p][c] is None:
-                    fill(c, p)
-                if deltas[p][c] is not _EMPTY:
-                    moves.append((delta + slots[p][c] - fam[p], _REVERSE, p, c))
-        best = None
-        for key in moves:
-            if best is None or _better(key, best):
-                best = key
+                move = (move[0] + slots[p][c] - fam[p], _REVERSE, p, c)
+                if _better(move, best):
+                    best = move
         if best is None or best[0] <= _IMPROVE_EPS:
             break
         _, kind, p, c = best
         for child, parent in ((c, p), (p, c)) if kind == _REVERSE else ((c, p),):
             fam[child] = slots[child][parent]
             slots[child] = [None] * n
-            deltas[child] = [None] * n
             parents[child] ^= 1 << parent
             children[parent] ^= 1 << child
         anc = _ancestors(parents)
@@ -309,8 +299,8 @@ def hill_climb(
 
 
 def _better(key, incumbent) -> bool:
-    """Strictly larger delta wins; on a near-tie the smaller tie-break key wins."""
-    if key[0] > incumbent[0] + _IMPROVE_EPS:
+    """No incumbent, or a strictly larger delta; on a near-tie the smaller tie-break key wins."""
+    if incumbent is None or key[0] > incumbent[0] + _IMPROVE_EPS:
         return True
     if key[0] < incumbent[0] - _IMPROVE_EPS:
         return False

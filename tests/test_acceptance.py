@@ -228,7 +228,6 @@ def test_sampling_contracts(capsys):
     dag = Dag(("A", "B"), frozenset({("A", "B")}))
     model = BayesianNetworkModel(
         dag,
-        {"A": CATEGORICAL, "B": CATEGORICAL},
         {
             "A": Cpt(("a", "c"), {(): (0.5, 0.5)}),
             "B": Cpt(("b", "d"), {("a",): (1.0, 0.0), ("c",): (0.0, 1.0)}),
@@ -253,7 +252,6 @@ def test_sampling_contracts(capsys):
     lg_dag = Dag(("X", "Y"), frozenset({("X", "Y")}))
     lg = BayesianNetworkModel(
         lg_dag,
-        {"X": CONTINUOUS, "Y": CONTINUOUS},
         {
             "X": LinearGaussian(0.0, {}, 1.0),
             "Y": LinearGaussian(3.0, {"X": 0.5}, 0.04),

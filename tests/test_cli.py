@@ -163,6 +163,22 @@ class TestRestore:
                      "--out", str(tmp_path / "o.json")]) == 1
 
 
+    @pytest.mark.parametrize("flag", ["--data", "--schema", "--metric", "--weight"])
+    def test_model_is_not_combined_with_training_flags(self, small_data, tmp_path, capsys, flag):
+        csv, schema = small_data
+        model_path = str(tmp_path / "model.json")
+        assert main(["learn", "--data", csv, "--schema", schema, "--out", model_path]) == 0
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps({"X1": None}))
+        value = {"--data": csv, "--schema": schema, "--metric": "cosine", "--weight": "0.5"}[flag]
+        capsys.readouterr()
+        assert main(["restore", "--model", model_path, "--record", str(rec_path), flag, value,
+                     "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert not (tmp_path / "o.json").exists()
+
+
 class TestAnalogues:
     def test_duplicate_ranks_first(self, small_data, tmp_path):
         csv, schema = small_data
@@ -288,7 +304,48 @@ class TestExportDot:
         assert "fillcolor=lightblue" in text  # categorical nodes
 
 
+BIG_INT = "9" * 5001  # past Python's 4300-digit limit on parsing an int
+
+# case -> (command, input to break, its content; None makes the path a directory)
+UNREADABLE = {
+    "record with a 5001-digit integer (restore)": ("restore", "record", f'{{"X1": {BIG_INT}}}'),
+    "record with a 5001-digit integer (analogues)": ("analogues", "record", f'{{"X1": {BIG_INT}}}'),
+    "expert edges with a 5001-digit integer": ("learn", "edges", f'[["C1", "C2"], [{BIG_INT}, "C1"]]'),
+    "schema entry without a kind": ("learn", "schema", '{"columns": [{"name": "C1"}]}'),
+    "schema columns an object": ("learn", "schema", '{"columns": {"C1": "categorical"}}'),
+    "record path a directory": ("restore", "record", None),
+    "CSV not UTF-8": ("learn", "data", b"C1,C2\ncaf\xe9,x\n"),
+    "model file not UTF-8": ("restore", "model", b'{"nodes": ["caf\xe9"]}'),
+}
+
+
 class TestErrorSurface:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_unreadable_input_file_is_an_input_error(self, small_data, tmp_path, capsys, case):
+        command, broken, content = UNREADABLE[case]
+        csv, schema = small_data
+        paths = {"data": csv, "schema": schema, "model": str(tmp_path / "model.json"),
+                 "record": str(tmp_path / "rec.json"), "edges": str(tmp_path / "edges.json")}
+        assert main(["learn", "--data", csv, "--schema", schema, "--out", paths["model"]]) == 0
+        (tmp_path / "rec.json").write_text(json.dumps({"X1": None}))
+        (tmp_path / "edges.json").write_text(json.dumps([["C1", "C2"]]))
+        path = tmp_path / "broken"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        paths[broken] = str(path)
+        argv = {
+            "learn": ["--data", paths["data"], "--schema", paths["schema"], "--expert-edges", paths["edges"]],
+            "restore": ["--model", paths["model"], "--record", paths["record"]],
+            "analogues": ["--data", paths["data"], "--schema", paths["schema"], "--record", paths["record"]],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *argv, "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["learn", "--data", str(tmp_path / "nope.csv"),
                      "--schema", str(tmp_path / "nope.json"),

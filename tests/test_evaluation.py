@@ -143,6 +143,22 @@ class TestLeaveOneOut:
         assert rep.metadata["gower_weight_source"] == "degenerate_fallback"
         assert rep.metadata["gower_weight"] == 1.0
 
+    def test_unlearnable_regime_is_counted_and_skipped(self):
+        d = cluster_dataset(3, 40)
+        j = d.col_index("X1")
+        # X1 is kept in 5 rows: enough for 3 bins on the full pool, too few among 10 analogues
+        d = Dataset(d.schema, [tuple(None if k == j and i % 8 else v for k, v in enumerate(row))
+                               for i, row in enumerate(d.rows)])
+        captured = []
+        rep = leave_one_out(d, small_config(max_rows=6),
+                            training_capture=lambda t, regime, train: captured.append(regime))
+        assert rep.metadata["training_failures"] == 6
+        assert captured == ["all_dataset"] * 6
+        for col in d.schema:
+            cells = rep.accuracy if col.kind == CATEGORICAL else rep.rmse
+            if col.name != "X1":
+                assert set(cells[col.name]) == {"all_dataset"}
+
     def test_too_few_rows_rejected(self):
         d = cluster_dataset(7, 8)
         with pytest.raises(EvaluationError):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mixbn.dataset import CATEGORICAL, CONTINUOUS
 from mixbn.errors import InferenceError
 from mixbn.graph import Dag
 from mixbn.inference import (
@@ -22,7 +21,6 @@ def chain_model(p_b_given_a=None):
     p_b_given_a = p_b_given_a or {("a",): (1.0, 0.0), ("c",): (0.0, 1.0)}
     return BayesianNetworkModel(
         dag,
-        {"A": CATEGORICAL, "B": CATEGORICAL},
         {
             "A": Cpt(("a", "c"), {(): (0.5, 0.5)}),
             "B": Cpt(("b", "d"), p_b_given_a),
@@ -34,7 +32,6 @@ def lg_model(intercept=3.0, coef=0.5, resvar=0.01):
     dag = Dag(("X", "Y"), frozenset({("X", "Y")}))
     return BayesianNetworkModel(
         dag,
-        {"X": CONTINUOUS, "Y": CONTINUOUS},
         {
             "X": LinearGaussian(0.0, {}, 1.0),
             "Y": LinearGaussian(intercept, {"X": coef}, resvar),
@@ -47,7 +44,6 @@ def mixed_model():
     dag = Dag(("A", "B", "X", "Y"))
     return BayesianNetworkModel(
         dag,
-        {"A": CATEGORICAL, "B": CATEGORICAL, "X": CONTINUOUS, "Y": CONTINUOUS},
         {
             "A": Cpt(("a", "c"), {(): (0.5, 0.5)}),
             "B": Cpt(("b", "d"), {(): (0.5, 0.5)}),
@@ -171,7 +167,7 @@ class TestRestore:
         assert out["B"] in ("b", "d")
         # with a forced exact tie the smaller label wins
         dag = Dag(("B",))
-        flat = BayesianNetworkModel(dag, {"B": CATEGORICAL}, {"B": Cpt(("b", "d"), {(): (0.5, 0.5)})})
+        flat = BayesianNetworkModel(dag, {"B": Cpt(("b", "d"), {(): (0.5, 0.5)})})
         draws = restore(flat, {"B": None}, 1, seed=0)
         assert draws["B"] in ("b", "d")
 

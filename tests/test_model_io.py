@@ -36,13 +36,15 @@ class TestRoundTrip:
         assert back.dag.nodes == model.dag.nodes
         assert back.dag.edges == model.dag.edges
         assert dict(back.node_kind) == dict(model.node_kind)
+        with pytest.raises(TypeError):
+            back.node_kind["C1"] = CATEGORICAL
 
     def test_top_level_layout(self):
         model = mixlearn(clg5_dataset(2, 200), bins=4)
         obj = json.loads(dumps(model))
         assert set(obj) == {"nodes"}
         for node in obj["nodes"]:
-            assert set(node) == {"name", "kind", "parents", "distribution"}
+            assert set(node) == {"name", "parents", "distribution"}
             assert node["distribution"]["type"] in ("cpt", "lg", "clg")
 
     def test_distribution_values_survive(self):
@@ -88,7 +90,6 @@ def models(draw):
     dag = Dag(("A", "B", "Y", "X"), frozenset({("A", "B"), ("A", "X"), ("Y", "X")}))
     return BayesianNetworkModel(
         dag,
-        {"A": CATEGORICAL, "B": CATEGORICAL, "Y": CONTINUOUS, "X": CONTINUOUS},
         {
             "A": Cpt(a_states, {(): draw(probabilities(len(a_states)))}),
             "B": Cpt(b_states, {(a,): draw(probabilities(len(b_states))) for a in a_rows}),
@@ -113,7 +114,6 @@ class TestDelimiterSafety:
     def test_old_delimited_key_rejected(self):
         model = BayesianNetworkModel(
             Dag(("A", "B"), frozenset({("A", "B")})),
-            {"A": CATEGORICAL, "B": CATEGORICAL},
             {"A": Cpt(("a",), {(): (1.0,)}), "B": Cpt(("b",), {("a",): (1.0,)})},
         )
         obj = json.loads(dumps(model))
@@ -163,6 +163,14 @@ class TestOldLayout:
         for i, record in enumerate(records(8)):
             assert restore(old, record, 50, i) == restore(fresh, record, 50, i)
 
+    def test_kind_is_read_from_the_distribution(self):
+        obj = json.loads(OLD_LAYOUT.read_text())
+        for n in obj["nodes"]:
+            n["kind"] = CONTINUOUS if n["distribution"]["type"] == "cpt" else CATEGORICAL
+        model = model_from_dict(obj)
+        assert dict(model.node_kind) == dict(mixlearn(clg5_dataset(0, 300), bins=4).node_kind)
+        assert model.node_kind["A"] == CATEGORICAL and model.node_kind["Z"] == CONTINUOUS
+
 
 def node(obj, name):
     return next(n for n in obj["nodes"] if n["name"] == name)
@@ -197,12 +205,12 @@ INVALID = {
     "CPT with a continuous parent": set_key(lambda o: (node(o, "B"), "parents"), ["X"]),
     "LG with a categorical parent": set_key(lambda o: (node(o, "Z"), "parents"), ["A", "Y"]),
     "empty file": lambda obj: obj.clear(),
-    "node without a kind": lambda obj: node(obj, "A").pop("kind"),
     "nodes not a list of objects": set_key(lambda o: (o, "nodes"), "AB"),
     "coefficients not an object": set_key(lambda o: (node(o, "Z")["distribution"], "coefficients"), [1.0]),
     "intercept not a number": set_key(lambda o: (node(o, "Z")["distribution"], "intercept"), "abc"),
     "probabilities not a list": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), 1.0),
     "probabilities NaN": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), [math.nan] * 2),
+    "intercept past the float range": set_key(lambda o: (node(o, "Z")["distribution"], "intercept"), 10**400),
     "intercept NaN": set_key(lambda o: (node(o, "Z")["distribution"], "intercept"), math.nan),
     "coefficient infinite": set_key(lambda o: (node(o, "Z")["distribution"]["coefficients"], "Y"), math.inf),
     "fallback intercept NaN": set_key(lambda o: (node(o, "X")["distribution"]["fallback"], "intercept"), math.nan),
