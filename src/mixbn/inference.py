@@ -7,16 +7,21 @@ entry and ``sanitize_evidence`` keeps the good ones in order.  A record
 given to ``restore`` or ``anomaly_score`` may hold None for missing, but
 not a field the model lacks; the anomaly target's value is checked too.
 
-Sampling walks nodes in topological order; evidence nodes are clamped to
-their observed values, everything else is drawn from its node
-distribution given the realized parent values.  Unseen parent
-configurations never abort a chain: CPT nodes fall back to a uniform draw
-over their states and conditional linear-Gaussian nodes fall back to
-their whole-column parameters.
+Evidence nodes are clamped and draw nothing.  Each sample draws the free
+nodes in topological order given their parents' values, one RNG call per
+draw: ``random()`` for a categorical node, ``standard_normal()`` for a
+continuous one with positive residual variance, none at zero variance.  So
+a seed gives the samples of the reference in ``tests/sampler_reference.py``.
+Unseen parent configurations never abort a chain: CPT nodes fall back to a
+uniform draw over their states and conditional linear-Gaussian nodes fall
+back to their whole-column parameters.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -90,45 +95,38 @@ def forward_sample(
         raise InferenceError(f"seed must be non-negative, got {seed}")
     validate_evidence(model, ev)
     rng = np.random.default_rng(seed)
-    order = model.dag.topological_order()
-    columns: dict[str, list] = {n: [] for n in model.dag.nodes}
+    current = {n: float(v) if model.node_kind[n] == CONTINUOUS else v for n, v in ev.items()}
+    columns = {n: [current[n]] * m if n in current else [] for n in model.dag.nodes}
+    # a CPT's parents are all discrete, so discrete parents key every node's draw
+    free = [(n, model.distributions[n], model.node_kind[n] == CATEGORICAL, model.discrete_parents(n),
+             {}, columns[n].append) for n in model.dag.topological_order() if n not in current]
     for _ in range(m):
-        current: dict[str, Value] = {}
-        for node in order:
-            if node in ev:
-                value = float(ev[node]) if model.node_kind[node] == CONTINUOUS else ev[node]
+        for node, dist, categorical, key_parents, plans, append in free:
+            key = tuple([current[p] for p in key_parents])
+            try:
+                plan = plans[key]
+            except KeyError:
+                plan = plans[key] = _draw_plan(dist, key)
+            if categorical:
+                u, states = rng.random(), dist.states
+                value = states[min(int(u * len(states)), len(states) - 1) if plan is None else bisect_left(plan, u)]
             else:
-                value = _draw(model, node, current, rng)
+                intercept, coefficients, std = plan
+                mean = intercept + sum(coef * current[p] for p, coef in coefficients)
+                value = float(mean + std * rng.standard_normal()) if std > 0 else float(mean)
             current[node] = value
-            columns[node].append(value)
+            append(value)
     return columns
 
 
-def _draw(model: BayesianNetworkModel, node: str, current: Mapping[str, Value], rng) -> Value:
-    dist = model.distributions[node]
+def _draw_plan(dist, key: tuple):
+    """A CPT row's running sums but the last, the last state taking what rounding leaves (None
+    for a row unseen in training, drawn uniformly); or a Gaussian's mean terms and std."""
     if isinstance(dist, Cpt):
-        cfg = tuple(current[p] for p in model.parents_in_order(node))
-        probs = dist.table.get(cfg)
-        u = rng.random()
-        if probs is None:
-            # configuration never observed in training: uniform over states
-            return dist.states[min(int(u * len(dist.states)), len(dist.states) - 1)]
-        acc = 0.0
-        for state, p in zip(dist.states, probs):
-            acc += p
-            if u <= acc:
-                return state
-        return dist.states[-1]
-    if isinstance(dist, ConditionalLinearGaussian):
-        combo = tuple(current[p] for p in model.discrete_parents(node))
-        lg = dist.for_combination(combo)
-    else:
-        lg = dist
-    mean = lg.intercept + sum(
-        coef * current[p] for p, coef in lg.coefficients.items()
-    )
-    std = math.sqrt(lg.residual_variance)
-    return float(mean + std * rng.standard_normal()) if std > 0 else float(mean)
+        probs = dist.table.get(key)
+        return None if probs is None else tuple(accumulate(probs))[:-1]
+    lg = dist.for_combination(key) if isinstance(dist, ConditionalLinearGaussian) else dist
+    return lg.intercept, tuple(lg.coefficients.items()), math.sqrt(lg.residual_variance)
 
 
 def restore(
@@ -151,9 +149,7 @@ def restore(
     for node in missing:
         drawn = samples[node]
         if model.node_kind[node] == CATEGORICAL:
-            counts: dict[str, int] = {}
-            for v in drawn:
-                counts[v] = counts.get(v, 0) + 1
+            counts = Counter(drawn)
             out[node] = min(counts, key=lambda s: (-counts[s], s))
         else:
             out[node] = float(np.mean(drawn))

@@ -7,8 +7,8 @@ Layout::
 The graph is the nodes' ordered ``"parents"`` lists, and a node's kind is
 its distribution's type.  The loader reads only the keys a model needs,
 so older files with extra keys (``"kind"``, ``"edges"``, ``"bins"``,
-``"alpha"``) still load; a missing key or a wrong-shaped entry raises
-``ParameterError``.
+``"alpha"``) still load; text that is not JSON, a missing key or a
+wrong-shaped entry raises ``ParameterError``.
 
 Association keys (parent-label tuples) are JSON-encoded label lists,
 e.g. ``'["a", "b"]'`` and ``'[]'`` for a parentless row, so any label
@@ -108,7 +108,11 @@ def dumps(model: BayesianNetworkModel) -> str:
 
 
 def loads(text: str) -> BayesianNetworkModel:
-    return model_from_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise ParameterError(f"model text is not JSON ({exc})") from None
+    return model_from_dict(obj)
 
 
 def save(model: BayesianNetworkModel, path: str) -> None:

@@ -127,6 +127,13 @@ def reservoir_like_dataset(seed: int, n_rows: int = 90) -> Dataset:
     )
 
 
+def with_blanks(d: Dataset, rate: float, seed: int) -> Dataset:
+    """d with each cell blanked with probability rate."""
+    rng = np.random.default_rng(seed)
+    rows = [tuple(None if rng.random() < rate else v for v in row) for row in d.rows]
+    return Dataset(d.schema, rows)
+
+
 def flat_continuous_dataset(n_rows: int = 24) -> Dataset:
     """Two varying categorical columns beside two constant continuous ones.
 

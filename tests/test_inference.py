@@ -1,8 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from sampler_reference import forward_sample_reference
+from synth import reservoir_like_dataset, with_blanks
+
+from mixbn import inference
 from mixbn.errors import InferenceError
 from mixbn.graph import Dag
 from mixbn.inference import (
@@ -12,7 +17,13 @@ from mixbn.inference import (
     sanitize_evidence,
     validate_evidence,
 )
-from mixbn.parameters import BayesianNetworkModel, Cpt, LinearGaussian
+from mixbn.parameters import (
+    BayesianNetworkModel,
+    ConditionalLinearGaussian,
+    Cpt,
+    LinearGaussian,
+    mixlearn,
+)
 
 
 def chain_model(p_b_given_a=None):
@@ -106,6 +117,91 @@ class TestForwardSample:
         ss = forward_sample(model, {"A": "a"}, 200, seed=3)
         freq = ss["B"].count("b") / 200
         assert 0.35 <= freq <= 0.65
+
+
+def clg_model():
+    """A -> B, A -> X <- Y, S: declared order A, B, X, Y, S but Y is drawn before X.
+
+    B has no row for A = "c" and a zero-probability state; X has no table
+    entry for A = "c"; S has a single state.
+    """
+    dag = Dag(("A", "B", "X", "Y", "S"), frozenset({("A", "B"), ("A", "X"), ("Y", "X")}))
+    return BayesianNetworkModel(
+        dag,
+        {
+            "A": Cpt(("a", "c"), {(): (0.3, 0.7)}),
+            "B": Cpt(("b", "d", "e"), {("a",): (0.2, 0.0, 0.8)}),
+            "X": ConditionalLinearGaussian(
+                {("a",): LinearGaussian(1.0, {"Y": 2.0}, 0.25)},
+                LinearGaussian(-1.0, {"Y": -0.5}, 4.0),
+            ),
+            "Y": LinearGaussian(0.5, {}, 1.0),
+            "S": Cpt(("only",), {(): (1.0,)}),
+        },
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def learned_model(n_rows, seed):
+    return mixlearn(with_blanks(reservoir_like_dataset(seed, n_rows), 0.05, seed))
+
+
+HELD_OUT = reservoir_like_dataset(99, 1)
+NAMES = HELD_OUT.names
+EVIDENCE_FIELDS = {
+    "none": (),
+    "four fields": NAMES[0::3],
+    "all but a continuous field": tuple(n for n in NAMES if n != "Porosity"),
+    "all but a categorical field": tuple(n for n in NAMES if n != "Lithology"),
+}
+HAND_BUILT = {
+    "CPT row unseen in training": (lambda: chain_model({("c",): (1.0, 0.0)}), {}),
+    "CLG combination missing from the table": (clg_model, {}),
+    "unseen rows under evidence": (clg_model, {"A": "c"}),
+    "LG with zero residual variance": (lambda: lg_model(resvar=0.0), {}),
+    "zero residual variance under evidence": (lambda: lg_model(resvar=0.0), {"X": 1.5}),
+    "int evidence for a continuous node": (lg_model, {"X": 2}),
+    "evidence in non-topological order": (clg_model, {"X": 3.0, "S": "only", "A": "c"}),
+}
+
+
+def assert_same_as_reference(model, ev, m, seed):
+    got = forward_sample(model, ev, m, seed)
+    ref = forward_sample_reference(model, ev, m, seed)
+    assert got == ref
+    # repr also tells 2 from 2.0 and -0.0 from 0.0, and shows key order
+    assert repr(got) == repr(ref)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("fields", sorted(EVIDENCE_FIELDS))
+    @pytest.mark.parametrize("n_rows, seed", [(1073, 11), (40, 1), (40, 2), (40, 3), (40, 4)])
+    def test_learned_model(self, n_rows, seed, fields):
+        model = learned_model(n_rows, seed)
+        offered = {n: v for n, v in zip(NAMES, HELD_OUT.rows[0]) if n in EVIDENCE_FIELDS[fields]}
+        ev, _ = sanitize_evidence(model, offered)
+        for sample_seed in (0, 7):
+            assert_same_as_reference(model, ev, 150, sample_seed)
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built_model(self, case):
+        build, ev = HAND_BUILT[case]
+        for sample_seed in (0, 3):
+            assert_same_as_reference(build(), ev, 300, sample_seed)
+
+    def test_restore_and_anomaly_score_sample_through_the_module_global(self, monkeypatch):
+        # bench/tracing.py counts node draws by patching this name the same way
+        evidence = []
+
+        def recorded(model, ev, m, seed):
+            evidence.append(dict(ev))
+            return forward_sample(model, ev, m, seed)
+
+        monkeypatch.setattr(inference, "forward_sample", recorded)
+        model = lg_model()
+        restore(model, {"X": 1.0, "Y": None}, 20, 0)
+        anomaly_score(model, {"X": 1.0, "Y": 3.5}, "Y", 20, 0)
+        assert evidence == [{"X": 1.0}, {"X": 1.0}]
 
 
 class TestSanitizeEvidence:

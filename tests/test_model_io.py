@@ -242,6 +242,13 @@ class TestInvalidModels:
                      "--out", str(tmp_path / "out.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text", ['{"nodes": [}', '{"nodes": [' + "9" * 5001 + "]}"], ids=["bad JSON", "5001-digit integer"]
+    )
+    def test_text_that_is_not_json_is_rejected_on_loads(self, text):
+        with pytest.raises(ParameterError, match="not JSON"):
+            loads(text)
+
     def test_unknown_parent_is_a_graph_error(self):
         obj = json.loads(OLD_LAYOUT.read_text())
         node(obj, "Z")["parents"] = ["Y", "W"]

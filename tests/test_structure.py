@@ -7,6 +7,7 @@ import pytest
 
 from k2_reference import hill_climb_reference
 from synth import clg5_dataset, clg5_weak_dataset, random_binary_dataset, reservoir_like_dataset
+from synth import with_blanks as _with_blanks
 
 from mixbn import structure
 from mixbn.dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset, quantile_discretize
@@ -253,13 +254,6 @@ class TestHillClimb:
         assert dag == ref_dag
         assert len(made) == 1
         assert made[0].misses == len(ref_scores)
-
-
-def _with_blanks(d, rate, seed):
-    """d with each cell blanked with probability rate."""
-    rng = np.random.default_rng(seed)
-    rows = [tuple(None if rng.random() < rate else v for v in row) for row in d.rows]
-    return Dataset(d.schema, rows)
 
 
 _GENERATORS = {
