@@ -90,12 +90,21 @@ def cmd_learn(args) -> tuple[str, list[str]]:
     return dumps(model), [args.data, args.schema] + ([args.expert_edges] if args.expert_edges else [])
 
 
+# the defaulted training options; restore parses them as None so that --model can reject them
+TRAINING_DEFAULTS = {"bins": 5, "max_parents": 4, "n_analogues": 40, "epsilon": 0.1}
+
+
 def _obtain_model(args, record: dict):
     """Model from --model, or trained for --record on --data (its analogues under --metric)."""
+    given = [f for f in ("data", "schema", "metric", "weight", *TRAINING_DEFAULTS)
+             if getattr(args, f) is not None]
+    for f, default in TRAINING_DEFAULTS.items():  # the manifest records resolved values
+        if getattr(args, f) is None:
+            setattr(args, f, default)
     if args.model:
-        given = [f"--{f}" for f in ("data", "schema", "metric", "weight") if getattr(args, f) is not None]
         if given:
-            raise MixbnError(f"--model cannot be combined with {', '.join(given)}")
+            flags = ", ".join("--" + f.replace("_", "-") for f in given)
+            raise MixbnError(f"--model cannot be combined with {flags}")
         return load_model(args.model), [args.model]
     if not (args.data and args.schema):
         raise MixbnError("provide either --model or both --data and --schema")
@@ -171,13 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schema", required=True, help="JSON column schema")
 
     def add_learn_opts(p):
-        p.add_argument("--bins", type=int, default=5)
-        p.add_argument("--max-parents", type=int, default=4)
+        p.add_argument("--bins", type=int, default=TRAINING_DEFAULTS["bins"])
+        p.add_argument("--max-parents", type=int, default=TRAINING_DEFAULTS["max_parents"])
 
     def add_analogue_opts(p):
-        p.add_argument("--n-analogues", type=int, default=40)
+        p.add_argument("--n-analogues", type=int, default=TRAINING_DEFAULTS["n_analogues"])
         p.add_argument("--weight", type=float, help="continuous-column weight for gower-weighted")
-        p.add_argument("--epsilon", type=float, default=0.1)
+        p.add_argument("--epsilon", type=float, default=TRAINING_DEFAULTS["epsilon"])
 
     def add_sampling_opts(p):
         p.add_argument("--samples", type=int, default=100)
@@ -199,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_analogue_opts(p)
     add_learn_opts(p)
     add_sampling_opts(p)
-    p.set_defaults(func=cmd_restore)
+    p.set_defaults(func=cmd_restore, **dict.fromkeys(TRAINING_DEFAULTS))
 
     p = sub.add_parser("analogues", help="rank nearest analogues of a record")
     add_data(p)

@@ -231,8 +231,9 @@ def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, dict[str, tuple
     Returns the discretized table and the quantile edges per continuous
     column.  A value v gets the label of bin ``bisect_left(edges, v)``:
     values less than or equal to an edge stay below it, so bins hold equal
-    counts on distinct data.  Missing stays missing; categorical columns
-    pass through unchanged.
+    counts on distinct data.  A column with fewer distinct values than
+    ``bins`` gets fewer bins; one with no value at all raises.  Missing
+    stays missing; categorical columns pass through unchanged.
     """
     if bins < 2:
         raise DatasetError(f"bins must be >= 2, got {bins}")
@@ -243,10 +244,8 @@ def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, dict[str, tuple
             columns.append((array, labels))
             continue
         present = ~np.isnan(array)
-        if np.count_nonzero(present) < bins:
-            raise DatasetError(
-                f"column {col.name!r} has {np.count_nonzero(present)} non-missing values, needs >= {bins}"
-            )
+        if not present.any():
+            raise DatasetError(f"column {col.name!r} has no non-missing values to discretize")
         edges[col.name] = quantile_edges(array[present], bins)
         bin_of = np.array(edges[col.name]).searchsorted(array, side="left")
         # labels sort as strings, so "10" precedes "2" once there are more than 10 bins

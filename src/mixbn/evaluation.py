@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import CATEGORICAL, CONTINUOUS, Dataset, normalize_ranges, select_rows
 from .errors import EvaluationError, MixbnError, SimilarityError
@@ -92,28 +91,27 @@ class EvalReport:
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Mann-Whitney rank statistic with midrank tie handling."""
+    """Mann-Whitney AUC: the share of (positive, negative) pairs whose positive
+    scores higher, a tie counting half.  Scores may be infinite but not NaN."""
     if len(scores) != len(labels):
         raise EvaluationError("scores and labels must align")
-    labels = [bool(b) for b in labels]
-    n_pos = sum(labels)
-    n_neg = len(labels) - n_pos
+    x = np.asarray(scores, dtype=float)
+    if np.isnan(x).any():
+        raise EvaluationError("scores must not be NaN")
+    positive = np.array([bool(b) for b in labels], dtype=bool)
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("both classes must be present")
-    ranks = rankdata(np.asarray(scores, dtype=float))
-    pos_rank_sum = float(sum(r for r, lab in zip(ranks, labels) if lab))
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+    # per positive: twice (negatives below + half the negatives equal), an exact integer
+    neg, pos = np.sort(x[~positive]), x[positive]
+    twice_wins = int(neg.searchsorted(pos, "left").sum() + neg.searchsorted(pos, "right").sum())
+    return twice_wins / 2 / (n_pos * n_neg)
 
 
 def _row_seed(base: int, row: int, salt: int = 0) -> int:
     # per-record seeds independent of scheduling order
     return (base ^ (row * 0x9E3779B1) ^ (salt * 0x85EBCA77)) & 0x7FFFFFFF
-
-
-def _evidence_without(model: BayesianNetworkModel, names: list[str], row: tuple, left_out: str):
-    """The present fields of ``row`` other than ``left_out``, split by ``sanitize_evidence``."""
-    ev = {name: v for name, v in zip(names, row) if name != left_out and v is not None}
-    return sanitize_evidence(model, ev)
 
 
 def _derive_gower_weight(d: Dataset, cfg: EvalConfig) -> tuple[float, str]:
@@ -182,7 +180,8 @@ def leave_one_out(
 
     for t in targets:
         row = d.row(t)
-        if all(v is None for v in row):
+        present = {name: v for name, v in zip(params, row) if v is not None}
+        if not present:
             skipped_rows += 1
             continue
         others = [i for i in range(d.n_rows) if i != t]
@@ -196,12 +195,13 @@ def leave_one_out(
                 continue
             if training_capture is not None:
                 training_capture(t, regime, [others[i] for i in train_local])
+            valid, dropped = sanitize_evidence(model, present)
             for p_idx, p in enumerate(params):
                 truth = row[p_idx]
                 if truth is None:
                     continue
-                valid_ev, dropped = _evidence_without(model, params, row, p)
-                dropped_evidence += len(dropped)
+                valid_ev = {k: v for k, v in valid.items() if k != p}
+                dropped_evidence += len(dropped) - (p in dropped)
                 try:
                     restored = restore(
                         model, valid_ev, cfg.m_samples, _row_seed(cfg.seed, t, p_idx)
@@ -272,7 +272,8 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
         scores: list[float] = []
         labels: list[bool] = []
         for i in present:
-            valid_ev, _ = _evidence_without(model, d.names, d.row(i), target)
+            ev = {name: v for name, v in zip(d.names, d.row(i)) if name != target and v is not None}
+            valid_ev, _ = sanitize_evidence(model, ev)
             try:
                 score, _flag = anomaly_score(
                     model,

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from synth import cluster_dataset, flat_continuous_dataset
 
+import mixbn
 from mixbn.cli import main
 from mixbn.dataset import load_csv, load_schema
 from mixbn.evaluation import ALL_DATASET, train_model
@@ -150,6 +154,9 @@ class TestRestore:
         model, _ = train_model(d, row, metric or ALL_DATASET, 20, bins=5, max_parents=4)
         expected = restore(model, record, 50, 4)
         assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        config = json.loads((tmp_path / "restored.json.manifest.json").read_text())["config"]
+        resolved = {"bins": 5, "max_parents": 4, "n_analogues": 20, "epsilon": 0.1}
+        assert {k: config[k] for k in resolved} == resolved
 
     def test_nothing_missing_fails(self, small_data, tmp_path, capsys):
         csv, schema = small_data
@@ -163,14 +170,16 @@ class TestRestore:
                      "--out", str(tmp_path / "o.json")]) == 1
 
 
-    @pytest.mark.parametrize("flag", ["--data", "--schema", "--metric", "--weight"])
+    @pytest.mark.parametrize("flag", ["--data", "--schema", "--metric", "--weight", "--bins",
+                                      "--max-parents", "--n-analogues", "--epsilon"])
     def test_model_is_not_combined_with_training_flags(self, small_data, tmp_path, capsys, flag):
         csv, schema = small_data
         model_path = str(tmp_path / "model.json")
         assert main(["learn", "--data", csv, "--schema", schema, "--out", model_path]) == 0
         rec_path = tmp_path / "rec.json"
         rec_path.write_text(json.dumps({"X1": None}))
-        value = {"--data": csv, "--schema": schema, "--metric": "cosine", "--weight": "0.5"}[flag]
+        value = {"--data": csv, "--schema": schema, "--metric": "cosine", "--weight": "0.5",
+                 "--bins": "9", "--max-parents": "1", "--n-analogues": "3", "--epsilon": "0.5"}[flag]
         capsys.readouterr()
         assert main(["restore", "--model", model_path, "--record", str(rec_path), flag, value,
                      "--out", str(tmp_path / "o.json")]) == 1
@@ -384,3 +393,15 @@ class TestErrorSurface:
         assert main([command, *args, "--record", str(rec_path),
                      "--out", str(tmp_path / "o.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # every command pays for what importing the CLI loads; mixbn needs only scipy.special
+    code = ("import sys, mixbn.cli; "
+            "print(sum(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy.stats' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(mixbn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    n_scipy, stats_loaded = out.stdout.split()
+    assert stats_loaded == "False"
+    assert int(n_scipy) <= 70

@@ -122,10 +122,13 @@ class TestQuantileDiscretize:
 
     def test_too_few_values(self):
         d = make([("B", CONTINUOUS)], [(1.0,), (None,)])
-        with pytest.raises(DatasetError):
-            quantile_discretize(d, 2)
+        dd, edges = quantile_discretize(d, 2)
+        assert dd.rows == (("0",), (None,))
+        assert edges == {"B": (1.0,)}
         with pytest.raises(DatasetError):
             quantile_discretize(d, 1)
+        with pytest.raises(DatasetError):
+            quantile_discretize(make([("B", CONTINUOUS)], [(None,), (None,)]), 2)
 
     def test_monotone_and_count_preserving(self):
         rng = np.random.default_rng(3)

@@ -43,14 +43,19 @@ class TestRocAuc:
 
     def test_random_inputs_match_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            scores = rng.integers(0, 5, size=12).astype(float).tolist()
-            labels = (rng.random(12) < 0.5).tolist()
+        # few levels make ties common; anomaly_score returns inf when its sample has no spread
+        levels = np.array([-np.inf, 0.0, 1.0, 2.0, 3.0, np.inf])
+        for size in (2, 12, 60, 200) * 10:
+            scores = rng.choice(levels, size=size).tolist()
+            labels = (rng.random(size) < rng.random()).tolist()
             if not any(labels) or all(labels):
                 continue
-            assert roc_auc(scores, labels) == pytest.approx(
-                pairwise_auc_oracle(scores, labels), abs=1e-12
-            )
+            # both count ties as exact halves, so the quotients are the same float
+            assert roc_auc(scores, labels) == pairwise_auc_oracle(scores, labels)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(EvaluationError):
+            roc_auc([0.1, np.nan, 0.3], [False, True, True])
 
     def test_negation_complement_for_tie_free_inputs(self):
         scores = [0.3, 1.2, 0.7, 2.5, 1.9]
@@ -146,9 +151,14 @@ class TestLeaveOneOut:
     def test_unlearnable_regime_is_counted_and_skipped(self):
         d = cluster_dataset(3, 40)
         j = d.col_index("X1")
-        # X1 is kept in 5 rows: enough for 3 bins on the full pool, too few among 10 analogues
-        d = Dataset(d.schema, [tuple(None if k == j and i % 8 else v for k, v in enumerate(row))
-                               for i, row in enumerate(d.rows)])
+        cont = {k for k, c in enumerate(d.schema) if c.kind == CONTINUOUS}
+        # X1 is kept only in rows 0 and 20, whose other continuous cells are moved far out: the
+        # full pool can fit X1, but no record's 10 analogues hold an X1 value to discretize
+        far = (0, 20)
+        d = Dataset(d.schema, [
+            tuple((v if i in far else None) if k == j else v + 100.0 if i in far and k in cont else v
+                  for k, v in enumerate(row))
+            for i, row in enumerate(d.rows)])
         captured = []
         rep = leave_one_out(d, small_config(max_rows=6),
                             training_capture=lambda t, regime, train: captured.append(regime))

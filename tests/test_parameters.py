@@ -193,6 +193,16 @@ class TestMixlearn:
         assert m1.dag.edges == m2.dag.edges
         assert m1.distributions.keys() == m2.distributions.keys()
 
+    def test_sparse_continuous_column_learns(self):
+        # X keeps 3 of 40 values, fewer than the 5 bins: it gets fewer bins, not an error
+        d = clg5_dataset(3, 40)
+        j = d.col_index("X")
+        d = Dataset(d.schema, [tuple(None if k == j and i % 15 else v for k, v in enumerate(row))
+                               for i, row in enumerate(d.rows)])
+        assert np.count_nonzero(d.present("X")) == 3
+        model = mixlearn(d, bins=5)
+        assert set(model.distributions) == set(d.names)
+
     def test_empty_dataset_rejected(self):
         d = make([("A", CATEGORICAL)], [])
         with pytest.raises(ParameterError):
