@@ -155,14 +155,19 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
     return report.to_dict(), [args.data, args.schema]
 
 
+def _dot_id(name: str) -> str:
+    """name as a quoted DOT ID, its backslashes and double quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_export_dot(args) -> tuple[str, list[str]]:
     model = load_model(args.model)
     lines = ["digraph model {"]
     for node in model.dag.nodes:
         color = "red" if model.node_kind[node] == CONTINUOUS else "lightblue"
-        lines.append(f'  "{node}" [style=filled, fillcolor={color}];')
+        lines.append(f"  {_dot_id(node)} [style=filled, fillcolor={color}];")
     for p, c in sorted(model.dag.edges):
-        lines.append(f'  "{p}" -> "{c}";')
+        lines.append(f"  {_dot_id(p)} -> {_dot_id(c)};")
     lines.append("}")
     return "\n".join(lines) + "\n", [args.model]
 

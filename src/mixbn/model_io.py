@@ -7,19 +7,27 @@ Layout::
 The graph is the nodes' ordered ``"parents"`` lists, and a node's kind is
 its distribution's type.  The loader reads only the keys a model needs,
 so older files with extra keys (``"kind"``, ``"edges"``, ``"bins"``,
-``"alpha"``) still load; text that is not JSON, a missing key or a
-wrong-shaped entry raises ``ParameterError``.
+``"alpha"``) still load; text that is not JSON, a missing key, a number
+that is not a finite JSON number or a wrong-shaped entry raises
+``ParameterError``.
 
 Association keys (parent-label tuples) are JSON-encoded label lists,
 e.g. ``'["a", "b"]'`` and ``'[]'`` for a parentless row, so any label
-survives the round trip.  Output is canonical (sorted keys, 2-space
-indent) so serialize -> parse -> serialize round-trips byte-identically.
+survives the round trip.  Each key is exactly ``json.dumps(list(labels))``
+and is read back as ``json.loads`` would read it, without a ``json`` call
+per key.  Output is canonical single-line JSON (sorted keys, ``","`` and
+``":"`` separators, a final newline), written and read by json's C codec,
+so serialize -> parse -> serialize round-trips byte-identically.  Indented
+files written by earlier versions load unchanged.
 """
 from __future__ import annotations
 
 import json
+from itertools import repeat
+from json.decoder import WHITESPACE
+from json.encoder import encode_basestring_ascii
 
-from .dataset import read_json
+from .dataset import CONTINUOUS, cell_problem, read_json
 from .errors import ParameterError
 from .graph import Dag
 from .parameters import (
@@ -30,18 +38,33 @@ from .parameters import (
 )
 
 
+_scan = json.JSONDecoder().scan_once
+
+
 def _join_key(labels: tuple[str, ...]) -> str:
-    return json.dumps(list(labels))
+    """``json.dumps(list(labels))``, one C call per label."""
+    return "[" + ", ".join(map(encode_basestring_ascii, labels)) + "]"
 
 
 def _split_key(key: str) -> tuple[str, ...]:
+    """The labels of ``json.loads(key)``, which must be a list of strings; like
+    ``json.loads``, one value with only JSON whitespace around it (a BOM fails the scan)."""
     try:
-        labels = json.loads(key)
-    except json.JSONDecodeError:
-        labels = None
-    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        labels, end = _scan(key, WHITESPACE.match(key).end())
+    except (StopIteration, ValueError, RecursionError):
+        labels = end = None
+    if (not isinstance(labels, list) or WHITESPACE.match(key, end).end() != len(key)
+            or not all(map(isinstance, labels, repeat(str)))):
         raise ParameterError(f"association key {key!r} is not a JSON list of labels")
     return tuple(labels)
+
+
+def _real(v) -> float:
+    """v as a float if it is a finite JSON number (the rule for a continuous cell)."""
+    problem = cell_problem(v, CONTINUOUS)
+    if problem:
+        raise ParameterError(f"model parameter: {problem}")
+    return float(v)
 
 
 def _lg_to_dict(lg: LinearGaussian) -> dict:
@@ -50,8 +73,8 @@ def _lg_to_dict(lg: LinearGaussian) -> dict:
 
 
 def _lg_from_dict(obj: dict) -> LinearGaussian:
-    coefficients = {p: float(c) for p, c in obj["coefficients"].items()}
-    return LinearGaussian(float(obj["intercept"]), coefficients, float(obj["residual_variance"]))
+    coefficients = {p: _real(c) for p, c in obj["coefficients"].items()}
+    return LinearGaussian(_real(obj["intercept"]), coefficients, _real(obj["residual_variance"]))
 
 
 def _distribution_to_dict(dist) -> dict:
@@ -77,7 +100,7 @@ def _distribution_from_dict(obj: dict):
     if kind == "cpt":
         return Cpt(
             tuple(obj["states"]),
-            {_split_key(k): tuple(map(float, v)) for k, v in obj["table"].items()},
+            {_split_key(k): tuple(map(_real, v)) for k, v in obj["table"].items()},
         )
     if kind == "clg":
         return ConditionalLinearGaussian(
@@ -104,7 +127,7 @@ def model_from_dict(obj: dict) -> BayesianNetworkModel:
 def dumps(model: BayesianNetworkModel) -> str:
     nodes = [{"name": name, "parents": model.parents_in_order(name),
               "distribution": _distribution_to_dict(model.distributions[name])} for name in model.dag.nodes]
-    return json.dumps({"nodes": nodes}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"nodes": nodes}, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def loads(text: str) -> BayesianNetworkModel:

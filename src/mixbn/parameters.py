@@ -28,6 +28,9 @@ from .structure import hill_climb, orientation_guard
 # near-flat prior precision for the regression coefficients; keeps the fit
 # defined on rank-deficient subsamples without visibly shrinking good data
 RIDGE_LAMBDA = 1e-6
+# complete-case rows a linear-Gaussian fit needs; mixlearn's structure search
+# gives every continuous family the same floor
+MIN_FIT_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class BayesianNetworkModel:
                 fits, lgs = isinstance(dist, LinearGaussian) and not disc, (dist,)
             # table keys hold one state of each categorical parent, in parent order;
             # coefficients name continuous parents
-            states = [dists[p].states for p in disc]
+            states = [set(dists[p].states) for p in disc]
             fits = fits and all(
                 len(key) == len(disc) and all(lab in s for lab, s in zip(key, states))
                 for key in getattr(dist, "table", ())
@@ -169,8 +172,8 @@ def fit_linear_gaussian(
     if rows is not None:
         mask &= rows
     n = int(mask.sum())
-    if n < 2:
-        raise ParameterError(f"need >= 2 complete-case rows to fit {child!r}, got {n}")
+    if n < MIN_FIT_ROWS:
+        raise ParameterError(f"need >= {MIN_FIT_ROWS} complete-case rows to fit {child!r}, got {n}")
     y = d.array(child)[mask]
     y_mean = float(y.mean())
     if not parents:
@@ -198,7 +201,7 @@ def fit_conditional_linear_gaussian(
 ) -> ConditionalLinearGaussian:
     """One linear-Gaussian per observed discrete-parent combination.
 
-    Combinations with fewer than 2 usable rows are left out of the table
+    Combinations with fewer than MIN_FIT_ROWS usable rows are left out of the table
     and use the fallback, which is fitted on all rows.
     """
     if d.kind(child) != CONTINUOUS:
@@ -227,7 +230,9 @@ def mixlearn(
         raise ParameterError("cannot learn from an empty dataset")
     disc_d, _ = quantile_discretize(d, bins)
     guard = orientation_guard(d.schema)
-    dag = hill_climb(disc_d, constraints=constraints, max_parents=max_parents, forbidden=guard)
+    floor = {c.name: MIN_FIT_ROWS for c in d.schema if c.kind == CONTINUOUS}
+    dag = hill_climb(disc_d, constraints=constraints, max_parents=max_parents, forbidden=guard,
+                     min_rows=floor)
     distributions: dict[str, Distribution] = {}
     for node in dag.nodes:
         parents = dag.parents(node)

@@ -28,7 +28,7 @@ so the learned graph is the same too.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -46,12 +46,14 @@ def _require_discrete(d: Dataset, names: Iterable[str]) -> None:
             raise StructureError(f"column {name!r} is continuous; discretize first")
 
 
-def _no_rows(child: str, parents: Iterable[str]) -> StructureError:
-    return StructureError(f"no complete-case rows for family ({child!r} | {sorted(parents)})")
+def _no_rows(child: str, parents: Iterable[str], need: int = 1) -> StructureError:
+    have = "no" if need == 1 else f"fewer than {need}"
+    return StructureError(f"{have} complete-case rows for family ({child!r} | {sorted(parents)})")
 
 
 class FamilyScoreCache:
-    """Memo of (child, sorted parent set) -> log K2 family score for one dataset.
+    """Memo of (child, sorted parent set) -> (log K2 family score, complete-case
+    rows) for one dataset.
 
     The first ``get`` on a dataset builds what every family shares: the
     categorical code arrays, their presence masks and cardinalities, and a
@@ -74,23 +76,28 @@ class FamilyScoreCache:
         self._card = {n: len(d.labels(n)) for n in cat}
         self._lgamma = gammaln(np.arange(d.n_rows + max(self._card.values(), default=0) + 2))
         self._zeros = np.zeros(d.n_rows, dtype=np.int64)
-        self._table: dict[tuple[str, tuple[str, ...]], float] = {}
+        self._table: dict[tuple[str, tuple[str, ...]], tuple[float, int]] = {}
         self._data = d
 
-    def get(self, d: Dataset, child: str, parents: Iterable[str]) -> float:
+    def get(self, d: Dataset, child: str, parents: Iterable[str], min_rows: int = 1) -> float:
+        """Family score; ``StructureError`` if fewer than min_rows rows are complete."""
         if d is not self._data:
             self._bind(d)
         key = (child, tuple(sorted(parents)))
-        score = self._table.get(key)
-        if score is not None:
+        entry = self._table.get(key)
+        if entry is None:
+            entry = self._table[key] = self._score(child, key[1])
+            self.misses += 1
+        else:
             self.hits += 1
-            return score
-        score = self._table[key] = self._score(child, key[1])
-        self.misses += 1
+        score, rows = entry
+        if rows < min_rows:
+            raise _no_rows(child, key[1], min_rows)
         return score
 
-    def _score(self, child: str, parents: tuple[str, ...]) -> float:
-        """K2 score of child given parents (in name order); raises if no row is complete."""
+    def _score(self, child: str, parents: tuple[str, ...]) -> tuple[float, int]:
+        """K2 score of child given parents (in name order) and its complete-case
+        row count; raises if no row is complete."""
         codes, card = self._codes, self._card
         mask = self._present[child]
         for p in parents:
@@ -117,7 +124,7 @@ class FamilyScoreCache:
         seen = n_j > 0  # observed configurations in ascending code order
         n_j, n_jk = n_j[seen], n_jk[seen]
         lg = self._lgamma
-        return float(len(n_j) * lg[r] - lg[r:][n_j].sum() + lg[1:][n_jk].sum())
+        return float(len(n_j) * lg[r] - lg[r:][n_j].sum() + lg[1:][n_jk].sum()), len(y)
 
 
 def k2_family_score(d: Dataset, child: str, parents: Iterable[str]) -> float:
@@ -179,7 +186,7 @@ def _ancestors(parents: list[int]) -> list[int]:
 # accepted move kinds in tie-break order
 _ADD, _DELETE, _REVERSE = 0, 1, 2
 _IMPROVE_EPS = 1e-9
-_EMPTY = object()  # slot of a family with no complete-case rows
+_EMPTY = object()  # slot of a family with fewer complete-case rows than its floor
 
 
 def hill_climb(
@@ -187,6 +194,7 @@ def hill_climb(
     constraints: Optional[EdgeConstraints] = None,
     max_parents: int = 4,
     forbidden: Optional[ForbiddenPredicate] = None,
+    min_rows: Optional[Mapping[str, int]] = None,
 ) -> Dag:
     """Steepest-ascent hill climbing over DAGs under the K2 score.
 
@@ -197,8 +205,10 @@ def hill_climb(
     best strictly improving one; ties break by move kind (add < delete <
     reverse), then parent schema index, then child schema index.  With
     ``constraints.removable`` false, required edges may not be deleted or
-    reversed.  A move whose new family has no complete-case rows is not
-    legal; a required edge whose family has none raises ``StructureError``.
+    reversed.  ``min_rows`` maps a child to the complete-case rows each of
+    its families needs (1 for a child it does not name); a move whose new
+    family has fewer is not legal, and a required edge whose family has
+    fewer raises ``StructureError``.
     Deterministic for fixed inputs.
 
     Bookkeeping per node: a parent bitset, an ancestor bitset, the current
@@ -241,9 +251,10 @@ def hill_climb(
         children[p] |= 1 << c
         if not constraints.removable:
             protected[p] |= 1 << c
+    floor = [(min_rows or {}).get(v, 1) for v in nodes]
     for c in range(n):
-        if parents[c] and not d.present(nodes[c], *names(parents[c])).any():
-            raise _no_rows(nodes[c], names(parents[c]))
+        if parents[c] and d.present(nodes[c], *names(parents[c])).sum() < floor[c]:
+            raise _no_rows(nodes[c], names(parents[c]), floor[c])
     anc = _ancestors(parents)
 
     cache = FamilyScoreCache()
@@ -251,11 +262,11 @@ def hill_climb(
     slots: list[list] = [[None] * n for _ in range(n)]  # slots[c][q]: c's family with q toggled
 
     def delta(q: int, c: int) -> Optional[float]:
-        """slots[c][q] - fam[c], filling the slot on first use; None if that family has no rows."""
+        """slots[c][q] - fam[c], filling the slot on first use; None if that family is below c's floor."""
         s = slots[c][q]
         if s is None:
             try:
-                s = slots[c][q] = cache.get(d, nodes[c], names(parents[c] ^ (1 << q)))
+                s = slots[c][q] = cache.get(d, nodes[c], names(parents[c] ^ (1 << q)), floor[c])
             except StructureError:
                 s = slots[c][q] = _EMPTY
             if fam[c] is None and s is not _EMPTY:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,10 @@ import mixbn
 from mixbn.cli import main
 from mixbn.dataset import load_csv, load_schema
 from mixbn.evaluation import ALL_DATASET, train_model
+from mixbn.graph import Dag
 from mixbn.inference import restore
-from mixbn.model_io import load as load_model
+from mixbn.model_io import load as load_model, save as save_model
+from mixbn.parameters import BayesianNetworkModel, Cpt
 
 
 def write_dataset(tmp_path, dataset, stem="data"):
@@ -311,6 +314,22 @@ class TestExportDot:
         assert text.count("->") == len(model.dag.edges)
         assert "fillcolor=red" in text  # continuous nodes
         assert "fillcolor=lightblue" in text  # categorical nodes
+
+    def test_names_are_escaped_in_quoted_ids(self, tmp_path):
+        names = ('a"b', "c\\", 'd\\"e')
+        model = BayesianNetworkModel(
+            Dag(names, frozenset({(names[0], names[1]), (names[1], names[2])})),
+            {names[0]: Cpt(("x",), {(): (1.0,)}), names[1]: Cpt(("x",), {("x",): (1.0,)}),
+             names[2]: Cpt(("x",), {("x",): (1.0,)})},
+        )
+        model_path, out = tmp_path / "model.json", tmp_path / "model.dot"
+        save_model(model, str(model_path))
+        assert main(["export-dot", "--model", str(model_path), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '  "a\\"b" -> "c\\\\";' in text.splitlines()
+        # every quoted DOT ID, with \" and \\ read back, is a node name
+        ids = [re.sub(r"\\(.)", r"\1", m) for m in re.findall(r'"((?:[^"\\]|\\.)*)"', text)]
+        assert ids == [*names, names[0], names[1], names[1], names[2]]
 
 
 BIG_INT = "9" * 5001  # past Python's 4300-digit limit on parsing an int

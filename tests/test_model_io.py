@@ -13,7 +13,7 @@ from mixbn.dataset import CATEGORICAL, CONTINUOUS
 from mixbn.errors import CycleError, GraphError, ParameterError
 from mixbn.graph import Dag
 from mixbn.inference import restore
-from mixbn.model_io import dumps, loads, model_from_dict
+from mixbn.model_io import _join_key, _split_key, dumps, load, loads, model_from_dict
 from mixbn.parameters import (
     BayesianNetworkModel,
     ConditionalLinearGaussian,
@@ -102,6 +102,11 @@ def models(draw):
     )
 
 
+def indented(text):
+    """The same model file as the writer before single-line files wrote it (2-space indent)."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 class TestDelimiterSafety:
     @settings(deadline=None)
     @given(models())
@@ -110,6 +115,17 @@ class TestDelimiterSafety:
         back = loads(text)
         assert back == model
         assert dumps(back) == text
+        assert loads(indented(text)) == model
+
+    @settings(deadline=None)
+    @given(models())
+    def test_file_is_one_canonical_line_with_json_keys(self, model):
+        text = dumps(model)
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        for n in json.loads(text)["nodes"]:
+            table = n["distribution"].get("table", {})
+            labels = getattr(model.distributions[n["name"]], "table", {})
+            assert sorted(table) == sorted(json.dumps(list(k)) for k in labels)
 
     def test_old_delimited_key_rejected(self):
         model = BayesianNetworkModel(
@@ -134,6 +150,57 @@ class TestDelimiterSafety:
                     "alpha": 1.0,
                 }
             )
+
+
+def assert_read_like_json_loads(text):
+    """_split_key(text) gives the labels json.loads reads, and fails where json.loads
+    fails or reads something other than a list of strings."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = None
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        assert _split_key(text) == tuple(value)
+    else:
+        with pytest.raises(ParameterError):
+            _split_key(text)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+padding = st.sampled_from(["", " ", "\t\n\r ", "\ufeff", "\u00a0", "x", "]", ",", "NaN", "[]"])
+key_texts = st.text() | st.builds(
+    lambda value, seps, ascii_only, before, after:
+        before + json.dumps(value, separators=seps, ensure_ascii=ascii_only) + after,
+    st.lists(st.text(), max_size=3) | json_values,
+    st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", ":")]), st.booleans(), padding, padding)
+
+
+class TestKeyCodec:
+    @given(st.lists(st.text(), max_size=4))
+    def test_writer_equals_json_dumps(self, labels):
+        assert _join_key(tuple(labels)) == json.dumps(labels)
+
+    @pytest.mark.parametrize("labels", [
+        (), ("",), ("|",), ('"', "\\"), ("\x00\n\x1f",), ("é", "漢", "\U0001f600"), ("\ud800",), ("a", "b", "c"),
+    ])
+    def test_writer_on_edge_labels(self, labels):
+        assert _join_key(labels) == json.dumps(list(labels))
+        assert _split_key(_join_key(labels)) == labels
+
+    @given(key_texts)
+    def test_reader_accepts_exactly_what_json_loads_reads(self, text):
+        assert_read_like_json_loads(text)
+
+    @pytest.mark.parametrize("text", [
+        '[]', ' ["a"] ', '\t\n\r["a","b"]\n', '[ "a" , "b" ]', '["\\u00e9\\"\\\\"]', '["\\ud800"]',
+        '', ' ', '\ufeff["a"]', '["a"] x', '["a"]\u00a0', '["a"] ["b"]', '["a",]', '[', '"a"',
+        '[NaN]', '[1]', '["a", null]', '[true]', '[["a"]]', '{"a": 1}', '["\x01"]',
+        pytest.param('[' + '9' * 5001 + ']', id="5001-digit integer"),
+    ])
+    def test_reader_on_edge_texts(self, text):
+        assert_read_like_json_loads(text)
 
 
 # written by mixbn before the model file lost its "edges", "bins", "alpha"
@@ -162,6 +229,10 @@ class TestOldLayout:
         assert old.dag == fresh.dag
         for i, record in enumerate(records(8)):
             assert restore(old, record, 50, i) == restore(fresh, record, 50, i)
+
+    def test_file_from_the_old_layout_loads_as_its_single_line_text(self):
+        old = load(str(OLD_LAYOUT))
+        assert loads(dumps(old)) == old == loads(dumps(mixlearn(clg5_dataset(0, 300), bins=4)))
 
     def test_kind_is_read_from_the_distribution(self):
         obj = json.loads(OLD_LAYOUT.read_text())
@@ -216,6 +287,21 @@ INVALID = {
     "fallback intercept NaN": set_key(lambda o: (node(o, "X")["distribution"]["fallback"], "intercept"), math.nan),
     "residual variance negative": set_key(lambda o: (node(o, "Z")["distribution"], "residual_variance"), -5.0),
     "residual variance infinite": set_key(lambda o: (node(o, "Z")["distribution"], "residual_variance"), math.inf),
+    "intercept a numeric string": set_key(lambda o: (node(o, "Z")["distribution"], "intercept"), "5"),
+    "intercept null": set_key(lambda o: (node(o, "Z")["distribution"], "intercept"), None),
+    "coefficient a numeric string": set_key(
+        lambda o: (node(o, "Z")["distribution"]["coefficients"], "Y"), "1.5"),
+    "coefficient a bool": set_key(lambda o: (node(o, "Z")["distribution"]["coefficients"], "Y"), True),
+    "residual variance true": set_key(lambda o: (node(o, "Z")["distribution"], "residual_variance"), True),
+    "residual variance null": set_key(lambda o: (node(o, "Z")["distribution"], "residual_variance"), None),
+    "fallback residual variance false": set_key(
+        lambda o: (node(o, "X")["distribution"]["fallback"], "residual_variance"), False),
+    "CLG intercept a numeric string": set_key(
+        lambda o: (node(o, "X")["distribution"]["table"]['["a0"]'], "intercept"), "1"),
+    "probabilities as strings": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"),
+                                        ["0.45695364238410596", "0.543046357615894"]),
+    "probabilities as bools": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), [True, False]),
+    "probability null": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), [None, 1.0]),
     "CLG key label unknown to its parent": rekey("X", '["a0"]', '["zz"]'),
     "CLG key label of another parent": rekey("Y", '["a0", "b0"]', '["b0", "a0"]'),
 }

@@ -220,6 +220,30 @@ class TestHillClimb:
             hill_climb(d, constraints=ec, forbidden=lambda p, c: True)
 
 
+    def test_move_below_the_row_floor_is_skipped(self):
+        # B and C overlap in row 9 only: C | B has one complete row
+        d = cat_dataset({
+            "A": [str(i % 2) for i in range(20)],
+            "B": [str(i // 3 % 2) if i < 10 else None for i in range(20)],
+            "C": [str(i // 2 % 2) if i >= 9 else None for i in range(20)],
+        })
+        assert ("B", "C") in hill_climb(d).edges
+        g = hill_climb(d, min_rows={"B": 2, "C": 2})
+        assert g.edges == {("B", "A"), ("C", "A")}
+        for child in ("B", "C"):
+            assert d.present(child, *g.parents(child)).sum() >= 2
+        with pytest.raises(StructureError, match="fewer than 2 complete-case rows"):
+            hill_climb(d, EdgeConstraints(frozenset({("B", "C")})), min_rows={"C": 2})
+
+    def test_cache_applies_the_row_floor(self):
+        d = random_binary_dataset(9, 12)
+        cache = FamilyScoreCache()
+        score = cache.get(d, "A", ["B"])
+        assert cache.get(d, "A", ["B"], min_rows=12) == score
+        with pytest.raises(StructureError, match="fewer than 13"):
+            cache.get(d, "A", ["B"], min_rows=13)
+        assert (cache.misses, cache.hits) == (1, 2)
+
     def test_move_whose_family_has_no_complete_rows_is_skipped(self):
         # A is present on odd rows only and B on even rows only
         schema = (ColumnSchema("A", CATEGORICAL), ColumnSchema("B", CATEGORICAL),
