@@ -113,8 +113,11 @@ class Dataset:
         return tuple(self.row(i) for i in range(self.n_rows))
 
     def column(self, name: str) -> list[Value]:
-        j = self.col_index(name)
-        return [self.row(i)[j] for i in range(self.n_rows)]
+        """Column name as Python cells, like the rows' cells at its index."""
+        array, labels = self._columns[self.col_index(name)]
+        if labels is None:
+            return [None if math.isnan(v) else v for v in array.tolist()]
+        return [labels[k] if k >= 0 else None for k in array.tolist()]
 
 
 def _column(col: ColumnSchema, cells: Sequence, missing: tuple) -> tuple:

@@ -66,6 +66,10 @@ class EvalConfig:
             raise EvaluationError("anomaly_fraction must be in (0, 1)")
         if self.m_samples < 1 or self.n_analogues < 1:
             raise EvaluationError("m_samples and n_analogues must be at least 1")
+        if self.bins < 2 or self.max_parents < 1:
+            raise EvaluationError(f"need bins >= 2 and max_parents >= 1, got {self.bins} and {self.max_parents}")
+        if not 0 < self.epsilon <= 1:
+            raise EvaluationError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.gower_weight is not None and not 0 <= self.gower_weight < math.inf:
             raise EvaluationError(f"gower_weight must be finite and >= 0, got {self.gower_weight}")
         if self.max_rows is not None and self.max_rows < 1:

@@ -12,8 +12,9 @@ member are dropped from that family's counts.
 Every family score comes from one counting kernel behind
 ``FamilyScoreCache``: parent configurations are numbered by mixed-radix
 arithmetic over the parents in name order, counted with ``bincount`` and
-scored from a log-gamma table, so a family always gets the same score,
-bit for bit, whichever caller asks.
+scored from a log-gamma table built with ``math.lgamma`` (one read-only
+table per size, memoized), so a family always gets the same score, bit for
+bit, whichever caller asks.
 
 ``hill_climb`` is steepest ascent with incremental bookkeeping.  Each node
 keeps its current family score and one score slot per candidate parent:
@@ -28,10 +29,11 @@ so the learned graph is the same too.
 """
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset
 from .errors import GraphError, StructureError
@@ -49,6 +51,14 @@ def _require_discrete(d: Dataset, names: Iterable[str]) -> None:
 def _no_rows(child: str, parents: Iterable[str], need: int = 1) -> StructureError:
     have = "no" if need == 1 else f"fewer than {need}"
     return StructureError(f"{have} complete-case rows for family ({child!r} | {sorted(parents)})")
+
+
+@lru_cache(maxsize=16)
+def lgamma_table(size: int) -> np.ndarray:
+    """Read-only lnGamma(k) for k = 0..size-1; k = 0 reads inf and is never looked up."""
+    table = np.array([math.inf, *map(math.lgamma, range(1, size))])
+    table.flags.writeable = False
+    return table
 
 
 class FamilyScoreCache:
@@ -74,7 +84,7 @@ class FamilyScoreCache:
         self._codes = {n: np.maximum(d.array(n), 0) for n in cat}
         self._present = {n: d.present(n) for n in cat}
         self._card = {n: len(d.labels(n)) for n in cat}
-        self._lgamma = gammaln(np.arange(d.n_rows + max(self._card.values(), default=0) + 2))
+        self._lgamma = lgamma_table(d.n_rows + max(self._card.values(), default=0) + 2)
         self._zeros = np.zeros(d.n_rows, dtype=np.int64)
         self._table: dict[tuple[str, tuple[str, ...]], tuple[float, int]] = {}
         self._data = d

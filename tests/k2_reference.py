@@ -8,10 +8,10 @@ move for move and the counting kernel score for score.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from mixbn.dataset import Dataset
 from mixbn.errors import GraphError, StructureError
@@ -19,6 +19,7 @@ from mixbn.graph import Dag, EdgeConstraints
 
 _ADD, _DELETE, _REVERSE = 0, 1, 2
 _IMPROVE_EPS = 1e-9
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def family_score_reference(d: Dataset, child: str, parents: Sequence[str]) -> float:
@@ -41,7 +42,7 @@ def family_score_reference(d: Dataset, child: str, parents: Sequence[str]) -> fl
     n_jk = np.bincount(config * r + y, minlength=q * r).reshape(q, r)
     n_j = n_jk.sum(axis=1)
     return float(
-        q * gammaln(r) - gammaln(n_j + r).sum() + gammaln(n_jk + 1).sum()
+        q * math.lgamma(r) - _lgamma(n_j + r).sum() + _lgamma(n_jk + 1).sum()
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ class TestEvalConfig:
     def test_counts_below_one_rejected(self, field, value):
         with pytest.raises(EvaluationError):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bins", 1), ("bins", 0), ("max_parents", 0), ("max_parents", -1),
+         ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", 1.5), ("epsilon", math.nan)],
+    )
+    def test_training_settings_that_cannot_train_rejected(self, field, value):
+        # each would make every train_model fail into training_failures
+        with pytest.raises(EvaluationError, match=field):
+            small_config(**{field: value})
+
+    def test_epsilon_of_one_accepted(self):
+        assert small_config(epsilon=1.0).epsilon == 1.0
 
 
 class TestLeaveOneOut:

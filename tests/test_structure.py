@@ -10,7 +10,7 @@ from synth import clg5_dataset, clg5_weak_dataset, random_binary_dataset, reserv
 from synth import with_blanks as _with_blanks
 
 from mixbn import structure
-from mixbn.dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset, quantile_discretize
+from mixbn.dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset, quantile_discretize, select_rows
 from mixbn.errors import GraphError, StructureError
 from mixbn.graph import Dag, EdgeConstraints
 from mixbn.parameters import mixlearn
@@ -317,6 +317,29 @@ def test_search_and_scores_match_the_full_rescan_reference(
     cache = FamilyScoreCache()
     for (child, parents), score in ref_scores.items():
         assert cache.get(disc, child, parents) == score
+
+
+def test_lgamma_table_keeps_the_graphs_scipy_gammaln_gave(monkeypatch):
+    # the K2 table once came from scipy.special.gammaln; math.lgamma differs in the last bits
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    size = 10**5 + 1
+    table, old = structure.lgamma_table(size), gammaln(np.arange(size))
+    assert table[0] == old[0] == math.inf
+    assert np.all(np.abs(table[1:] - old[1:]) <= 4 * np.spacing(np.abs(old[1:])))
+    assert not table.flags.writeable
+
+    tables = []
+    for seed in (1, 7919):
+        d = _with_blanks(reservoir_like_dataset(seed, 1073), 0.05, seed)
+        rng = np.random.default_rng(seed)
+        tables += [d, *(select_rows(d, rng.choice(d.n_rows, 40, replace=False)) for _ in range(15))]
+
+    def learned():
+        return [hill_climb(quantile_discretize(t, 5)[0], forbidden=orientation_guard(t.schema)) for t in tables]
+
+    graphs = learned()
+    monkeypatch.setattr(structure, "lgamma_table", lambda n: gammaln(np.arange(n)))
+    assert learned() == graphs
 
 
 def _single_moves(g):
