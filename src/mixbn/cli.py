@@ -15,13 +15,14 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 
 from . import __version__
 from .dataset import CONTINUOUS, Dataset, check_row, load_csv, load_schema, read_json
 from .errors import MixbnError
-from .evaluation import ALL_DATASET, REGIMES, EvalConfig, format_report, run_eval, train_model
+from .evaluation import ALL_DATASET, EvalConfig, format_report, run_eval, train_model
 from .graph import EdgeConstraints
-from .inference import anomaly_score, restore
+from .inference import anomaly_score, restore, sanitize_evidence
 from .model_io import dumps, load as load_model
 from .parameters import mixlearn
 from .similarity import AnalogueQuery, metric_spec, nearest_analogues
@@ -90,42 +91,59 @@ def cmd_learn(args) -> tuple[str, list[str]]:
     return dumps(model), [args.data, args.schema] + ([args.expert_edges] if args.expert_edges else [])
 
 
-# the defaulted training options; restore parses them as None so that --model can reject them
-TRAINING_DEFAULTS = {"bins": 5, "max_parents": 4, "n_analogues": 40, "epsilon": 0.1}
+# restore parses its training options as None, so that --model can reject them
+TRAINING_OPTIONS = ("bins", "max_parents", "n_analogues", "epsilon")
+OPTION_OF_FIELD = {"m_samples": "samples", "gower_weight": "weight"}  # EvalConfig field -> option
 
 
-def _obtain_model(args, record: dict):
-    """Model from --model, or trained for --record on --data (its analogues under --metric)."""
-    given = [f for f in ("data", "schema", "metric", "weight", *TRAINING_DEFAULTS)
-             if getattr(args, f) is not None]
-    for f, default in TRAINING_DEFAULTS.items():  # the manifest records resolved values
-        if getattr(args, f) is None:
-            setattr(args, f, default)
-    if args.model:
-        if given:
-            flags = ", ".join("--" + f.replace("_", "-") for f in given)
-            raise MixbnError(f"--model cannot be combined with {flags}")
-        return load_model(args.model), [args.model]
-    if not (args.data and args.schema):
-        raise MixbnError("provide either --model or both --data and --schema")
-    dataset = _load_data(args)
-    row = _record_to_row(record, dataset)
-    model, _ = train_model(dataset, row, args.metric or ALL_DATASET, args.n_analogues,
-                           args.bins, args.max_parents, args.weight, args.epsilon)
-    return model, [args.data, args.schema]
+def _config(args) -> EvalConfig:
+    """The EvalConfig of the command's options, an unset one taking the field's default.
+
+    EvalConfig checks the settings the same way for every command; ``args``
+    gets the resolved values back, so the manifest records them.
+    """
+    options = {f.name: OPTION_OF_FIELD.get(f.name, f.name) for f in fields(EvalConfig)}
+    options = {f: o for f, o in options.items() if hasattr(args, o)}
+    cfg = EvalConfig(**{f: getattr(args, o) for f, o in options.items() if getattr(args, o) is not None})
+    for f, o in options.items():
+        setattr(args, o, getattr(cfg, f))
+    return cfg
 
 
 def cmd_restore(args) -> tuple[dict, list[str]]:
+    """Fill --record from --model, or from a model trained for it on --data (its analogues
+    under --metric).  A trained model conditions on the labels it saw; each other given
+    value is named on stderr and kept in the output as given."""
     record = _load_record(args.record)
-    model, inputs = _obtain_model(args, record)
-    return restore(model, record, args.samples, args.seed), inputs + [args.record]
+    if args.model:
+        given = [f for f in ("data", "schema", "metric", "weight", *TRAINING_OPTIONS)
+                 if getattr(args, f) is not None]
+        if given:
+            flags = ", ".join("--" + f.replace("_", "-") for f in given)
+            raise MixbnError(f"--model cannot be combined with {flags}")
+        return restore(load_model(args.model), record, args.samples, args.seed), [args.model, args.record]
+    if not (args.data and args.schema):
+        raise MixbnError("provide either --model or both --data and --schema")
+    cfg = _config(args)
+    dataset = _load_data(args)
+    row = _record_to_row(record, dataset)
+    if None not in row:  # a given label that the model lacks is not a missing field
+        raise MixbnError("record has no missing fields; nothing to restore")
+    model, _ = train_model(dataset, row, args.metric or ALL_DATASET, cfg)
+    _, dropped = sanitize_evidence(model, {k: v for k, v in record.items() if v is not None})
+    for name in dropped:
+        print(f"warning: {name} = {record[name]!r} is not a label of the training rows; "
+              "restoring without it as evidence", file=sys.stderr)
+    restored = restore(model, {**record, **dict.fromkeys(dropped)}, cfg.m_samples, cfg.seed)
+    return {**restored, **{name: record[name] for name in dropped}}, [args.data, args.schema, args.record]
 
 
 def cmd_analogues(args) -> tuple[dict, list[str]]:
+    cfg = _config(args)
     dataset = _load_data(args)
     row = _record_to_row(_load_record(args.record), dataset)
-    spec = metric_spec(args.metric, dataset, args.weight, args.epsilon)
-    idxs = nearest_analogues(AnalogueQuery(row, spec, args.n_analogues), dataset)
+    spec = metric_spec(args.metric, dataset, cfg.gower_weight, cfg.epsilon)
+    idxs = nearest_analogues(AnalogueQuery(row, spec, cfg.n_analogues), dataset)
     return {"metric": args.metric, "indices": idxs}, [args.data, args.schema, args.record]
 
 
@@ -138,19 +156,7 @@ def cmd_anomalies(args) -> tuple[dict, list[str]]:
 
 
 def cmd_eval(args) -> tuple[dict, list[str]]:
-    cfg = EvalConfig(
-        regimes=tuple(args.regimes),
-        n_analogues=args.n_analogues,
-        bins=args.bins,
-        max_parents=args.max_parents,
-        m_samples=args.samples,
-        seed=args.seed,
-        anomaly_fraction=args.anomaly_fraction,
-        epsilon=args.epsilon,
-        gower_weight=args.weight,
-        max_rows=args.max_rows,
-    )
-    report = run_eval(_load_data(args), cfg)
+    report = run_eval(_load_data(args), _config(args))
     sys.stdout.write(format_report(report))
     return report.to_dict(), [args.data, args.schema]
 
@@ -185,17 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schema", required=True, help="JSON column schema")
 
     def add_learn_opts(p):
-        p.add_argument("--bins", type=int, default=TRAINING_DEFAULTS["bins"])
-        p.add_argument("--max-parents", type=int, default=TRAINING_DEFAULTS["max_parents"])
+        p.add_argument("--bins", type=int, default=EvalConfig.bins)
+        p.add_argument("--max-parents", type=int, default=EvalConfig.max_parents)
 
     def add_analogue_opts(p):
-        p.add_argument("--n-analogues", type=int, default=TRAINING_DEFAULTS["n_analogues"])
+        p.add_argument("--n-analogues", type=int, default=EvalConfig.n_analogues)
         p.add_argument("--weight", type=float, help="continuous-column weight for gower-weighted")
-        p.add_argument("--epsilon", type=float, default=TRAINING_DEFAULTS["epsilon"])
+        p.add_argument("--epsilon", type=float, default=EvalConfig.epsilon)
 
     def add_sampling_opts(p):
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=int, default=EvalConfig.m_samples)
+        p.add_argument("--seed", type=int, default=EvalConfig.seed)
 
     p = sub.add_parser("learn", help="learn a model from a dataset")
     add_data(p)
@@ -213,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_analogue_opts(p)
     add_learn_opts(p)
     add_sampling_opts(p)
-    p.set_defaults(func=cmd_restore, **dict.fromkeys(TRAINING_DEFAULTS))
+    p.set_defaults(func=cmd_restore, **dict.fromkeys(TRAINING_OPTIONS))
 
     p = sub.add_parser("analogues", help="rank nearest analogues of a record")
     add_data(p)
@@ -232,12 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run the full evaluation harness")
     add_data(p)
     # regime names are normalized here, so the manifest records what ran
-    p.add_argument("--regimes", nargs="+", default=list(REGIMES),
+    p.add_argument("--regimes", nargs="+", default=EvalConfig.regimes,
                    type=lambda r: r.replace("-", "_"))
     add_analogue_opts(p)
     add_learn_opts(p)
     add_sampling_opts(p)
-    p.add_argument("--anomaly-fraction", type=float, default=0.10)
     p.add_argument("--max-rows", type=int, help="evaluate a seeded subsample of rows")
     p.set_defaults(func=cmd_eval)
 

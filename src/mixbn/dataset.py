@@ -176,10 +176,11 @@ def load_csv(path: str, schema: Sequence[ColumnSchema]) -> Dataset:
 
     The header must match the schema names as a set (order may differ).
     Empty cells and the literal "NA" are missing; anything else in a
-    continuous column must parse as a finite decimal real.
+    continuous column must parse as a finite decimal real.  A UTF-8
+    byte-order mark before the header (spreadsheet "CSV UTF-8") is skipped.
     """
     schema = tuple(schema)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

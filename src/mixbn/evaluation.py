@@ -5,6 +5,15 @@ train on everything else (or on its nearest analogues under a metric),
 delete one parameter at a time, restore it, and aggregate accuracy
 (categorical) or RMSE (continuous) per parameter and training regime.
 
+``train_model`` is the one analogue-training step: ``mixbn restore
+--data`` runs it for the user's record and ``leave_one_out`` for each
+target on the table without that target, both with the settings of one
+checked ``EvalConfig``.  A gower_weighted pool without a configured
+weight takes its own penalty ratio, so a degenerate pool fails that
+training on both paths; the study counts it in ``training_failures``.
+Both condition on the record's labels that the trained model saw and
+drop the rest (``sanitize_evidence``).
+
 The paper's figures for its 1073-reservoir dataset are in
 ``REFERENCE_NOTES``; ``format_report`` prints them for comparison only.
 """
@@ -17,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dataset import CATEGORICAL, CONTINUOUS, Dataset, normalize_ranges, select_rows
-from .errors import EvaluationError, MixbnError, SimilarityError
+from .errors import EvaluationError, MixbnError
 from .inference import anomaly_score, restore, sanitize_evidence
 from .parameters import BayesianNetworkModel, mixlearn
 from .similarity import (
@@ -28,11 +37,11 @@ from .similarity import (
     AnalogueQuery,
     metric_spec,
     nearest_analogues,
-    penalty_weights,
 )
 
 ALL_DATASET = "all_dataset"
 REGIMES = (ALL_DATASET, COSINE, GOWER, FILTER, GOWER_WEIGHTED)
+ANOMALY_FRACTION = 0.10  # share of each continuous column's values the anomaly benchmark injects
 
 REFERENCE_NOTES = [
     "Reference results from the original 1073-reservoir study (not asserted here):",
@@ -45,25 +54,27 @@ REFERENCE_NOTES = [
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """Settings of analogue training and of the study; the CLI's defaults are these."""
+
     regimes: tuple[str, ...] = REGIMES
     n_analogues: int = 40
     bins: int = 5
     max_parents: int = 4
     m_samples: int = 100
     seed: int = 0
-    anomaly_fraction: float = 0.10
     epsilon: float = 0.1
-    gower_weight: Optional[float] = None  # derived from penalties when None
+    gower_weight: Optional[float] = None  # None: each pool's own penalty ratio
     max_rows: Optional[int] = None  # evaluate a seeded row subsample
 
     def __post_init__(self):
+        object.__setattr__(self, "regimes", tuple(self.regimes))
         if not self.regimes:
             raise EvaluationError("at least one regime required")
         for r in self.regimes:
             if r not in REGIMES:
                 raise EvaluationError(f"unknown regime {r!r}")
-        if not 0 < self.anomaly_fraction < 1:
-            raise EvaluationError("anomaly_fraction must be in (0, 1)")
+        if len(set(self.regimes)) < len(self.regimes):
+            raise EvaluationError(f"each regime may be given once, got {list(self.regimes)}")
         if self.m_samples < 1 or self.n_analogues < 1:
             raise EvaluationError("m_samples and n_analogues must be at least 1")
         if self.bins < 2 or self.max_parents < 1:
@@ -118,39 +129,20 @@ def _row_seed(base: int, row: int, salt: int = 0) -> int:
     return (base ^ (row * 0x9E3779B1) ^ (salt * 0x85EBCA77)) & 0x7FFFFFFF
 
 
-def _derive_gower_weight(d: Dataset, cfg: EvalConfig) -> tuple[float, str]:
-    if cfg.gower_weight is not None:
-        return cfg.gower_weight, "configured"
-    try:
-        _, weight = penalty_weights(d)
-        return weight, "penalty_ratio"
-    except SimilarityError:
-        return 1.0, "degenerate_fallback"
-
-
-def train_model(
-    pool: Dataset,
-    row: tuple,
-    regime: str,
-    n_analogues: int,
-    bins: int,
-    max_parents: int,
-    weight: Optional[float] = None,
-    epsilon: float = 0.1,
-) -> tuple[BayesianNetworkModel, list[int]]:
+def train_model(pool: Dataset, row: tuple, regime: str, cfg: EvalConfig) -> tuple[BayesianNetworkModel, list[int]]:
     """Model for one record and the pool indices it was learned on.
 
     ``all_dataset`` learns on the whole pool; a metric name learns on the
-    record's ``n_analogues`` nearest pool rows under ``metric_spec``.
+    record's ``cfg.n_analogues`` nearest pool rows under ``metric_spec``.
     """
     if regime == ALL_DATASET:
         indices = list(range(pool.n_rows))
         train = pool
     else:
-        spec = metric_spec(regime, pool, weight, epsilon)
-        indices = nearest_analogues(AnalogueQuery(row, spec, n_analogues), pool)
+        spec = metric_spec(regime, pool, cfg.gower_weight, cfg.epsilon)
+        indices = nearest_analogues(AnalogueQuery(row, spec, cfg.n_analogues), pool)
         train = select_rows(pool, indices)
-    return mixlearn(train, bins=bins, max_parents=max_parents), indices
+    return mixlearn(train, bins=cfg.bins, max_parents=cfg.max_parents), indices
 
 
 def leave_one_out(
@@ -164,7 +156,7 @@ def leave_one_out(
     regime, training row original indices) for every trained model; one that
     cannot be learned is counted in ``training_failures`` and skipped.
     """
-    if d.n_rows < cfg.n_analogues + 1:
+    if set(cfg.regimes) != {ALL_DATASET} and d.n_rows < cfg.n_analogues + 1:
         raise EvaluationError(
             f"need at least n_analogues + 1 = {cfg.n_analogues + 1} rows, got {d.n_rows}"
         )
@@ -180,7 +172,6 @@ def leave_one_out(
     dropped_evidence = 0
     restore_failures = 0
     training_failures = 0
-    weight, weight_source = _derive_gower_weight(d, cfg)
 
     for t in targets:
         row = d.row(t)
@@ -192,8 +183,7 @@ def leave_one_out(
         pool = select_rows(d, others)
         for regime in cfg.regimes:
             try:
-                model, train_local = train_model(pool, row, regime, cfg.n_analogues, cfg.bins,
-                                                 cfg.max_parents, weight, cfg.epsilon)
+                model, train_local = train_model(pool, row, regime, cfg)
             except MixbnError:
                 training_failures += 1
                 continue
@@ -236,8 +226,7 @@ def leave_one_out(
         "dropped_evidence_fields": dropped_evidence,
         "restore_failures": restore_failures,
         "training_failures": training_failures,
-        "gower_weight": weight,
-        "gower_weight_source": weight_source,
+        "gower_weight": cfg.gower_weight,  # None: each pool's own penalty ratio
     }
     return EvalReport(accuracy, rmse, {}, metadata)
 
@@ -245,7 +234,7 @@ def leave_one_out(
 def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
     """ROC-AUC of the conditional anomaly score after in-range injection.
 
-    For each continuous parameter, a seeded 10% (anomaly_fraction) of the
+    For each continuous parameter, a seeded ``ANOMALY_FRACTION`` of the
     non-missing values is replaced by uniform draws over the observed
     [min, max] - in range, but jointly inconsistent.  The model trains on
     the untouched remainder rows.
@@ -262,10 +251,10 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
             continue  # zero range: skipped, reported by absence
         j = d.col_index(target)
         present = np.flatnonzero(d.present(target)).tolist()
-        k = int(math.floor(cfg.anomaly_fraction * len(present)))
-        if k == 0 or k == len(present):
+        k = int(math.floor(ANOMALY_FRACTION * len(present)))
+        if k == 0:
             raise EvaluationError(
-                f"anomaly fraction {cfg.anomaly_fraction} leaves no usable split for {target!r}"
+                f"anomaly fraction {ANOMALY_FRACTION} leaves no usable split for {target!r}"
             )
         injected = set(rng.choice(present, size=k, replace=False).tolist())
         values = d.array(target).copy()

@@ -10,8 +10,8 @@ from synth import cluster_dataset, flat_continuous_dataset
 
 import mixbn
 from mixbn.cli import main
-from mixbn.dataset import load_csv, load_schema
-from mixbn.evaluation import ALL_DATASET, train_model
+from mixbn.dataset import Dataset, load_csv, load_schema
+from mixbn.evaluation import ALL_DATASET, EvalConfig, train_model
 from mixbn.graph import Dag
 from mixbn.inference import restore
 from mixbn.model_io import load as load_model, save as save_model
@@ -154,12 +154,42 @@ class TestRestore:
                 "--n-analogues", "20", "--samples", "50", "--seed", "4", "--out", str(out)]
         assert main(argv + (["--metric", metric] if metric else [])) == 0
         row = tuple(record[c.name] for c in d.schema)
-        model, _ = train_model(d, row, metric or ALL_DATASET, 20, bins=5, max_parents=4)
+        model, _ = train_model(d, row, metric or ALL_DATASET, EvalConfig(n_analogues=20))
         expected = restore(model, record, 50, 4)
         assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
         config = json.loads((tmp_path / "restored.json.manifest.json").read_text())["config"]
         resolved = {"bins": 5, "max_parents": 4, "n_analogues": 20, "epsilon": 0.1}
         assert {k: config[k] for k in resolved} == resolved
+
+    @pytest.mark.parametrize("metric", ["gower", "gower-weighted", "cosine", "filter"])
+    def test_label_the_analogues_lack_is_dropped_from_evidence_only(self, tmp_path, capsys, metric):
+        d = cluster_dataset(0, 60)
+        j = d.col_index("C1")
+        # rows 29 and 32 rank last from row 5 under gower, so no 20-row analogue set holds them
+        d = Dataset(d.schema, [r[:j] + ("rare",) + r[j + 1:] if i in (29, 32) else r
+                               for i, r in enumerate(d.rows)])
+        csv, schema = write_dataset(tmp_path, d)
+        record = {c.name: v for c, v in zip(d.schema, d.rows[5])}
+        record.update(C1="rare", X2=None)
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps(record))
+        out = tmp_path / "restored.json"
+        capsys.readouterr()
+        assert main(["restore", "--data", csv, "--schema", schema, "--record", str(rec_path),
+                     "--metric", metric, "--n-analogues", "20", "--seed", "3", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: C1 = 'rare'") and err.count("\n") == 1
+        restored = json.loads(out.read_text())
+        assert {k: v for k, v in restored.items() if k != "X2"} == {k: v for k, v in record.items() if k != "X2"}
+        model, train = train_model(d, tuple(record[c.name] for c in d.schema), metric,
+                                   EvalConfig(n_analogues=20))
+        assert not {29, 32} & set(train)
+        assert restored["X2"] == restore(model, {**record, "C1": None}, 100, 3)["X2"]
+        # a dropped label is still a given value: a record with nothing else missing fails
+        rec_path.write_text(json.dumps({**record, "X2": 1.0}))
+        assert main(["restore", "--data", csv, "--schema", schema, "--record", str(rec_path),
+                     "--metric", metric, "--n-analogues", "20", "--out", str(out)]) == 1
+        assert "nothing to restore" in capsys.readouterr().err
 
     def test_nothing_missing_fails(self, small_data, tmp_path, capsys):
         csv, schema = small_data
@@ -248,6 +278,11 @@ class TestBadAnalogueAndEvalInputs:
             ["eval", "--epsilon", "0", "--max-rows", "2"],
             ["eval", "--bins", "1", "--max-rows", "2"],
             ["eval", "--max-parents", "0", "--max-rows", "2"],
+            ["restore", "--weight", "-1"],
+            ["restore", "--metric", "gower", "--epsilon", "5"],
+            ["analogues", "--weight", "-1"],
+            ["analogues", "--metric", "gower", "--epsilon", "5"],
+            ["eval", "--regimes", "gower", "gower", "--max-rows", "2"],
         ],
     )
     def test_fails_with_an_input_error(self, small_data, tmp_path, capsys, argv):

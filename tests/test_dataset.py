@@ -65,6 +65,13 @@ class TestLoadCsv:
         d = load_csv(str(p), [ColumnSchema("A", CATEGORICAL), ColumnSchema("B", CONTINUOUS)])
         assert d.rows[0] == ("x", 1.5)
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a BOM before the first header name
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfA,B\nx,1.5\n")
+        d = load_csv(str(p), [ColumnSchema("A", CATEGORICAL), ColumnSchema("B", CONTINUOUS)])
+        assert d.names == ["A", "B"] and d.rows[0] == ("x", 1.5)
+
 
 class TestDatasetInvariants:
     def test_type_discipline(self):

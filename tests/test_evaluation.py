@@ -17,7 +17,8 @@ from mixbn.evaluation import (
     run_eval,
     train_model,
 )
-from mixbn.similarity import AnalogueQuery, DistanceSpec, nearest_analogues
+from mixbn.dataset import select_rows
+from mixbn.similarity import AnalogueQuery, DistanceSpec, metric_spec, nearest_analogues
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -102,6 +103,11 @@ class TestEvalConfig:
     def test_epsilon_of_one_accepted(self):
         assert small_config(epsilon=1.0).epsilon == 1.0
 
+    def test_duplicate_regimes_rejected(self):
+        # each would train every model twice and report the regime twice
+        with pytest.raises(EvaluationError, match="once"):
+            small_config(regimes=("gower", "gower"))
+
 
 class TestLeaveOneOut:
     def test_identical_rows_are_perfectly_restored(self):
@@ -156,11 +162,32 @@ class TestLeaveOneOut:
                 wins += 1
         assert wins >= 4
 
-    def test_degenerate_pool_falls_back_to_unit_gower_weight(self):
+    def test_degenerate_pool_fails_gower_weighted_training(self):
+        # no continuous penalty: each pool's derived weight fails, as in mixbn restore --data
         d = flat_continuous_dataset()
-        rep = leave_one_out(d, small_config(regimes=("gower_weighted",), max_rows=3))
-        assert rep.metadata["gower_weight_source"] == "degenerate_fallback"
-        assert rep.metadata["gower_weight"] == 1.0
+        captured = []
+        rep = leave_one_out(d, small_config(regimes=("all_dataset", "gower_weighted"), max_rows=3),
+                            training_capture=lambda t, regime, train: captured.append(regime))
+        assert rep.metadata["training_failures"] == 3
+        assert captured == ["all_dataset"] * 3
+        assert rep.metadata["gower_weight"] is None
+        assert "gower_weight_source" not in rep.metadata
+        weighted = leave_one_out(d, small_config(regimes=("gower_weighted",), max_rows=3, gower_weight=1.0))
+        assert weighted.metadata["training_failures"] == 0
+        assert weighted.metadata["gower_weight"] == 1.0
+
+    def test_gower_weighted_ranks_each_pool_without_its_target(self):
+        # one of these 5 targets gets other analogues under the whole table's penalty ratio
+        d = cluster_dataset(3, 40)
+        captured = {}
+        leave_one_out(d, small_config(regimes=("gower_weighted",), max_rows=5),
+                      training_capture=lambda t, regime, train: captured.setdefault(t, train))
+        assert len(captured) == 5
+        for t, train in captured.items():
+            others = [i for i in range(d.n_rows) if i != t]
+            pool = select_rows(d, others)
+            query = AnalogueQuery(d.row(t), metric_spec("gower_weighted", pool), 10)
+            assert train == [others[i] for i in nearest_analogues(query, pool)]
 
     def test_unlearnable_regime_is_counted_and_skipped(self):
         d = cluster_dataset(3, 40)
@@ -188,16 +215,25 @@ class TestLeaveOneOut:
         with pytest.raises(EvaluationError):
             leave_one_out(d, small_config(n_analogues=10))
 
+    def test_row_floor_applies_only_to_analogue_regimes(self):
+        d = cluster_dataset(7, 30)
+        with pytest.raises(EvaluationError, match="41 rows"):
+            leave_one_out(d, small_config(regimes=("all_dataset", "gower"), n_analogues=40))
+        rep = leave_one_out(d, small_config(regimes=("all_dataset",), n_analogues=40, max_rows=3))
+        assert rep.metadata["training_failures"] == 0
+        assert all(set(cells) == {"all_dataset"} for cells in rep.accuracy.values())
+
 
 class TestTrainModel:
     def test_training_rows_follow_the_regime(self):
         d = cluster_dataset(10, 40)
         row = d.rows[0]
-        _, idx = train_model(d, row, "all_dataset", 10, bins=3, max_parents=4)
+        cfg = small_config()
+        _, idx = train_model(d, row, "all_dataset", cfg)
         assert idx == list(range(40))
-        _, idx = train_model(d, row, "gower", 10, bins=3, max_parents=4)
+        _, idx = train_model(d, row, "gower", cfg)
         assert idx == nearest_analogues(AnalogueQuery(row, DistanceSpec("gower"), 10), d)
-        _, idx = train_model(d, row, "filter", 10, bins=3, max_parents=4, epsilon=0.3)
+        _, idx = train_model(d, row, "filter", small_config(epsilon=0.3))
         filtered = AnalogueQuery(row, DistanceSpec("filter", epsilon=0.3), 10)
         assert idx == nearest_analogues(filtered, d)
 
