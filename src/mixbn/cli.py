@@ -6,7 +6,7 @@ read.  The output is the model file or DOT text for ``learn`` and
 command, writes the output to ``--out`` (JSON canonically: sorted keys,
 2-space indent) and a run manifest (resolved config, seed, input digests,
 tool version, duration) next to it.
-Exit codes: 0 success, 1 input error (bad or unreadable input), 2 internal invariant violation.
+Exit codes: 0 success, --help or --version; 1 bad options or bad or unreadable input; 2 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -93,7 +93,7 @@ def cmd_learn(args) -> tuple[str, list[str]]:
 
 # restore parses its training options as None, so that --model can reject them
 TRAINING_OPTIONS = ("bins", "max_parents", "n_analogues", "epsilon")
-OPTION_OF_FIELD = {"m_samples": "samples", "gower_weight": "weight"}  # EvalConfig field -> option
+OPTION_OF_FIELD = {"m_samples": "samples"}  # EvalConfig field -> option
 
 
 def _config(args) -> EvalConfig:
@@ -116,7 +116,7 @@ def cmd_restore(args) -> tuple[dict, list[str]]:
     value is named on stderr and kept in the output as given."""
     record = _load_record(args.record)
     if args.model:
-        given = [f for f in ("data", "schema", "metric", "weight", *TRAINING_OPTIONS)
+        given = [f for f in ("data", "schema", "metric", *TRAINING_OPTIONS)
                  if getattr(args, f) is not None]
         if given:
             flags = ", ".join("--" + f.replace("_", "-") for f in given)
@@ -142,7 +142,7 @@ def cmd_analogues(args) -> tuple[dict, list[str]]:
     cfg = _config(args)
     dataset = _load_data(args)
     row = _record_to_row(_load_record(args.record), dataset)
-    spec = metric_spec(args.metric, dataset, cfg.gower_weight, cfg.epsilon)
+    spec = metric_spec(args.metric, dataset, cfg.epsilon)
     idxs = nearest_analogues(AnalogueQuery(row, spec, cfg.n_analogues), dataset)
     return {"metric": args.metric, "indices": idxs}, [args.data, args.schema, args.record]
 
@@ -178,6 +178,11 @@ def cmd_export_dot(args) -> tuple[str, list[str]]:
     return "\n".join(lines) + "\n", [args.model]
 
 
+def _regime(name: str) -> str:
+    """A regime or metric name as the library spells it: ``gower-weighted`` is ``gower_weighted``."""
+    return name.replace("-", "_")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixbn",
@@ -196,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_analogue_opts(p):
         p.add_argument("--n-analogues", type=int, default=EvalConfig.n_analogues)
-        p.add_argument("--weight", type=float, help="continuous-column weight for gower-weighted")
         p.add_argument("--epsilon", type=float, default=EvalConfig.epsilon)
 
     def add_sampling_opts(p):
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="CSV pool for on-the-fly analogue training")
     p.add_argument("--schema", help="JSON column schema (with --data)")
     p.add_argument("--record", required=True, help="record JSON with null for missing")
-    p.add_argument("--metric", help="train on analogues under this metric")
+    p.add_argument("--metric", type=_regime, help="train on analogues under this metric")
     add_analogue_opts(p)
     add_learn_opts(p)
     add_sampling_opts(p)
@@ -224,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analogues", help="rank nearest analogues of a record")
     add_data(p)
     p.add_argument("--record", required=True)
-    p.add_argument("--metric", default="gower")
+    p.add_argument("--metric", type=_regime, default="gower")
     add_analogue_opts(p)
     p.set_defaults(func=cmd_analogues)
 
@@ -237,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run the full evaluation harness")
     add_data(p)
-    # regime names are normalized here, so the manifest records what ran
-    p.add_argument("--regimes", nargs="+", default=EvalConfig.regimes,
-                   type=lambda r: r.replace("-", "_"))
+    p.add_argument("--regimes", nargs="+", type=_regime, default=EvalConfig.regimes)
     add_analogue_opts(p)
     add_learn_opts(p)
     add_sampling_opts(p)
@@ -256,7 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, help or version
+        return 1 if exc.code else 0
     started = time.monotonic()
     try:
         output, inputs = args.func(args)

@@ -8,11 +8,12 @@ delete one parameter at a time, restore it, and aggregate accuracy
 ``train_model`` is the one analogue-training step: ``mixbn restore
 --data`` runs it for the user's record and ``leave_one_out`` for each
 target on the table without that target, both with the settings of one
-checked ``EvalConfig``.  A gower_weighted pool without a configured
-weight takes its own penalty ratio, so a degenerate pool fails that
-training on both paths; the study counts it in ``training_failures``.
-Both condition on the record's labels that the trained model saw and
-drop the rest (``sanitize_evidence``).
+checked ``EvalConfig`` that names regimes as ``REGIMES`` spells them.
+gower_weighted always weighs by the pool's own penalty ratio, so a
+degenerate pool fails that training on both paths; the study counts it in
+``training_failures``.  Both condition on the record's labels that the
+trained model saw and drop the rest (``sanitize_evidence``).  The anomaly
+benchmark leaves out a column too short or too flat to inject into.
 
 The paper's figures for its 1073-reservoir dataset are in
 ``REFERENCE_NOTES``; ``format_report`` prints them for comparison only.
@@ -63,7 +64,6 @@ class EvalConfig:
     m_samples: int = 100
     seed: int = 0
     epsilon: float = 0.1
-    gower_weight: Optional[float] = None  # None: each pool's own penalty ratio
     max_rows: Optional[int] = None  # evaluate a seeded row subsample
 
     def __post_init__(self):
@@ -81,8 +81,6 @@ class EvalConfig:
             raise EvaluationError(f"need bins >= 2 and max_parents >= 1, got {self.bins} and {self.max_parents}")
         if not 0 < self.epsilon <= 1:
             raise EvaluationError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.gower_weight is not None and not 0 <= self.gower_weight < math.inf:
-            raise EvaluationError(f"gower_weight must be finite and >= 0, got {self.gower_weight}")
         if self.max_rows is not None and self.max_rows < 1:
             raise EvaluationError(f"max_rows must be at least 1, got {self.max_rows}")
         if self.seed < 0:
@@ -139,7 +137,7 @@ def train_model(pool: Dataset, row: tuple, regime: str, cfg: EvalConfig) -> tupl
         indices = list(range(pool.n_rows))
         train = pool
     else:
-        spec = metric_spec(regime, pool, cfg.gower_weight, cfg.epsilon)
+        spec = metric_spec(regime, pool, cfg.epsilon)
         indices = nearest_analogues(AnalogueQuery(row, spec, cfg.n_analogues), pool)
         train = select_rows(pool, indices)
     return mixlearn(train, bins=cfg.bins, max_parents=cfg.max_parents), indices
@@ -226,7 +224,6 @@ def leave_one_out(
         "dropped_evidence_fields": dropped_evidence,
         "restore_failures": restore_failures,
         "training_failures": training_failures,
-        "gower_weight": cfg.gower_weight,  # None: each pool's own penalty ratio
     }
     return EvalReport(accuracy, rmse, {}, metadata)
 
@@ -237,7 +234,8 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
     For each continuous parameter, a seeded ``ANOMALY_FRACTION`` of the
     non-missing values is replaced by uniform draws over the observed
     [min, max] - in range, but jointly inconsistent.  The model trains on
-    the untouched remainder rows.
+    the untouched remainder rows.  A column with a zero range or with too
+    few values for one injection is skipped and draws nothing from the RNG.
     """
     ranges = normalize_ranges(d)
     cont = [c.name for c in d.schema if c.kind == CONTINUOUS]
@@ -246,16 +244,12 @@ def anomaly_benchmark(d: Dataset, cfg: EvalConfig) -> dict[str, float]:
     out: dict[str, float] = {}
     rng = np.random.default_rng(cfg.seed)
     for target in cont:
-        span = ranges[target]
-        if span is None or span[1] == span[0]:
-            continue  # zero range: skipped, reported by absence
-        j = d.col_index(target)
         present = np.flatnonzero(d.present(target)).tolist()
         k = int(math.floor(ANOMALY_FRACTION * len(present)))
-        if k == 0:
-            raise EvaluationError(
-                f"anomaly fraction {ANOMALY_FRACTION} leaves no usable split for {target!r}"
-            )
+        span = ranges[target]  # None only when no value is present, so k == 0
+        if k == 0 or span[1] == span[0]:
+            continue  # too short or zero range: skipped, reported by absence
+        j = d.col_index(target)
         injected = set(rng.choice(present, size=k, replace=False).tolist())
         values = d.array(target).copy()
         for i in sorted(injected):

@@ -98,6 +98,8 @@ def _distribution_to_dict(dist) -> dict:
 def _distribution_from_dict(obj: dict):
     kind = obj.get("type")
     if kind == "cpt":
+        if not isinstance(obj["states"], list):
+            raise ParameterError(f"cpt states {obj['states']!r} are not a JSON list")
         return Cpt(
             tuple(obj["states"]),
             {_split_key(k): tuple(map(_real, v)) for k, v in obj["table"].items()},
@@ -115,6 +117,8 @@ def _distribution_from_dict(obj: dict):
 def model_from_dict(obj: dict) -> BayesianNetworkModel:
     try:
         names = tuple(n["name"] for n in obj["nodes"])
+        if not all(map(isinstance, names, repeat(str))):
+            raise ParameterError(f"node names {list(names)!r} are not all strings")
         edges = frozenset((p, n["name"]) for n in obj["nodes"] for p in n["parents"])
         dists = {n["name"]: _distribution_from_dict(n["distribution"]) for n in obj["nodes"]}
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

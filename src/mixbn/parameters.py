@@ -37,14 +37,17 @@ MIN_FIT_ROWS = 2
 class Cpt:
     """Per parent-configuration categorical distribution.
 
-    Table keys are parent-label tuples in the node's parent order
-    (schema order); only configurations observed in training appear.
+    States are distinct labels, at least one.  Table keys are parent-label
+    tuples in parent (schema) order; only configurations seen in training appear.
     """
 
     states: tuple[str, ...]
     table: Mapping[tuple[str, ...], tuple[float, ...]]
 
     def __post_init__(self):
+        s = self.states
+        if not (s and type(s) is tuple and all(isinstance(x, str) for x in s) and len(set(s)) == len(s)):
+            raise ParameterError(f"states must be a non-empty tuple of distinct labels, got {s!r}")
         for cfg, probs in self.table.items():
             if len(probs) != len(self.states):
                 raise ParameterError(f"probability vector length mismatch at {cfg}")
@@ -143,8 +146,6 @@ def fit_cpt(d: Dataset, child: str, parents: Sequence[str], alpha: float = 1.0) 
         if d.kind(name) != CATEGORICAL:
             raise ParameterError(f"column {name!r} is not categorical")
     states = d.labels(child)
-    if not states:
-        raise ParameterError(f"column {child!r} has no observed values")
     mask = d.present(child, *parents)
     if not mask.any():
         raise ParameterError(f"no complete-case rows for {child!r} given {list(parents)}")

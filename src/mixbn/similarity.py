@@ -211,23 +211,18 @@ def _keys(spec: DistanceSpec, ranges: Ranges, target: Row, pool: Dataset) -> np.
     return np.where(nu == 0.0, 1.0, np.minimum(np.maximum(1.0 - cos, 0.0), 1.0))
 
 
-def metric_spec(
-    metric: str, pool: Dataset, weight: Optional[float] = None, epsilon: float = 0.1
-) -> DistanceSpec:
-    """The spec a metric name selects; ``gower-weighted`` spells ``gower_weighted``.
+def metric_spec(metric: str, pool: Dataset, epsilon: float = 0.1) -> DistanceSpec:
+    """The spec a metric name (one of ``METRICS``) selects.
 
-    gower_weighted weighs continuous columns by ``weight`` and categorical
-    ones by 1.  Without a weight it uses the pool's penalty ratio, which
-    raises SimilarityError on a degenerate pool.  ``epsilon`` reaches the
-    filter metric only.
+    gower_weighted weighs continuous columns by the pool's penalty ratio,
+    raising SimilarityError on a degenerate pool, and categorical ones by 1.
+    ``epsilon`` reaches the filter metric only.
     """
-    name = metric.replace("-", "_")
     weights = {}
-    if name == GOWER_WEIGHTED:
-        if weight is None:
-            _, weight = penalty_weights(pool)
+    if metric == GOWER_WEIGHTED:
+        _, weight = penalty_weights(pool)
         weights = {c.name: (weight if c.kind == CONTINUOUS else 1.0) for c in pool.schema}
-    return DistanceSpec(name, weights=weights, epsilon=epsilon if name == FILTER else None)
+    return DistanceSpec(metric, weights=weights, epsilon=epsilon if metric == FILTER else None)
 
 
 def penalty_weights(pool: Dataset, seed: int = 0) -> tuple[dict[str, Optional[float]], float]:

@@ -154,7 +154,8 @@ class TestRestore:
                 "--n-analogues", "20", "--samples", "50", "--seed", "4", "--out", str(out)]
         assert main(argv + (["--metric", metric] if metric else [])) == 0
         row = tuple(record[c.name] for c in d.schema)
-        model, _ = train_model(d, row, metric or ALL_DATASET, EvalConfig(n_analogues=20))
+        regime = metric.replace("-", "_") if metric else ALL_DATASET  # the library's spelling
+        model, _ = train_model(d, row, regime, EvalConfig(n_analogues=20))
         expected = restore(model, record, 50, 4)
         assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
         config = json.loads((tmp_path / "restored.json.manifest.json").read_text())["config"]
@@ -181,7 +182,7 @@ class TestRestore:
         assert err.startswith("warning: C1 = 'rare'") and err.count("\n") == 1
         restored = json.loads(out.read_text())
         assert {k: v for k, v in restored.items() if k != "X2"} == {k: v for k, v in record.items() if k != "X2"}
-        model, train = train_model(d, tuple(record[c.name] for c in d.schema), metric,
+        model, train = train_model(d, tuple(record[c.name] for c in d.schema), metric.replace("-", "_"),
                                    EvalConfig(n_analogues=20))
         assert not {29, 32} & set(train)
         assert restored["X2"] == restore(model, {**record, "C1": None}, 100, 3)["X2"]
@@ -203,7 +204,7 @@ class TestRestore:
                      "--out", str(tmp_path / "o.json")]) == 1
 
 
-    @pytest.mark.parametrize("flag", ["--data", "--schema", "--metric", "--weight", "--bins",
+    @pytest.mark.parametrize("flag", ["--data", "--schema", "--metric", "--bins",
                                       "--max-parents", "--n-analogues", "--epsilon"])
     def test_model_is_not_combined_with_training_flags(self, small_data, tmp_path, capsys, flag):
         csv, schema = small_data
@@ -211,7 +212,7 @@ class TestRestore:
         assert main(["learn", "--data", csv, "--schema", schema, "--out", model_path]) == 0
         rec_path = tmp_path / "rec.json"
         rec_path.write_text(json.dumps({"X1": None}))
-        value = {"--data": csv, "--schema": schema, "--metric": "cosine", "--weight": "0.5",
+        value = {"--data": csv, "--schema": schema, "--metric": "cosine",
                  "--bins": "9", "--max-parents": "1", "--n-analogues": "3", "--epsilon": "0.5"}[flag]
         capsys.readouterr()
         assert main(["restore", "--model", model_path, "--record", str(rec_path), flag, value,
@@ -247,6 +248,29 @@ class TestAnalogues:
                      "--n-analogues", "5", "--out", str(out)]) == 0
 
 
+class TestRegimeNames:
+    def test_hyphen_and_underscore_spellings_give_identical_outputs(self, small_data, tmp_path):
+        csv, schema = small_data
+        d = cluster_dataset(0, 60)
+        record = {c.name: v for c, v in zip(d.schema, d.rows[5])}
+        record["X4"] = None
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps(record))
+
+        def run(command, metric):
+            out = tmp_path / f"{command}-{metric}.json"
+            assert main([command, "--data", csv, "--schema", schema, "--record", str(rec_path),
+                         "--metric", metric, "--n-analogues", "20", "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            assert manifest["config"]["metric"] == metric.replace("-", "_")
+            return out.read_bytes()
+
+        for hyphen in ("gower-weighted", "all-dataset"):
+            assert run("restore", hyphen) == run("restore", hyphen.replace("-", "_"))
+        assert run("analogues", "gower-weighted") == run("analogues", "gower_weighted")
+        assert json.loads(run("analogues", "gower-weighted"))["metric"] == "gower_weighted"
+
+
 class TestDegeneratePool:
     @pytest.mark.parametrize("command", ["analogues", "restore"])
     def test_derived_gower_weight_is_an_input_error(self, tmp_path, capsys, command):
@@ -263,13 +287,13 @@ class TestBadAnalogueAndEvalInputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analogues", "--metric", "gower-weighted", "--weight", "nan"],
-            ["analogues", "--metric", "gower-weighted", "--weight", "inf"],
+            ["analogues", "--metric", "all-dataset"],  # a regime that ranks nothing
+            ["analogues", "--metric", "euclid"],
             ["analogues", "--n-analogues", "-3"],
             ["analogues", "--n-analogues", "0"],
-            ["restore", "--metric", "gower-weighted", "--weight", "nan"],
-            ["eval", "--regimes", "gower-weighted", "--weight", "nan", "--max-rows", "2"],
-            ["eval", "--regimes", "gower", "--weight", "nan", "--max-rows", "2"],
+            ["restore", "--metric", "euclid"],
+            ["eval", "--regimes", "gower-weighted", "gower_weighted", "--max-rows", "2"],
+            ["eval", "--regimes", "euclid", "--max-rows", "2"],
             ["eval", "--max-rows", "-1"],
             ["eval", "--max-rows", "0"],
             ["restore", "--seed", "-1"],
@@ -278,9 +302,9 @@ class TestBadAnalogueAndEvalInputs:
             ["eval", "--epsilon", "0", "--max-rows", "2"],
             ["eval", "--bins", "1", "--max-rows", "2"],
             ["eval", "--max-parents", "0", "--max-rows", "2"],
-            ["restore", "--weight", "-1"],
+            ["restore", "--metric", "all-dataset", "--epsilon", "0"],
             ["restore", "--metric", "gower", "--epsilon", "5"],
-            ["analogues", "--weight", "-1"],
+            ["eval", "--regimes", "all-dataset", "all_dataset", "--max-rows", "2"],
             ["analogues", "--metric", "gower", "--epsilon", "5"],
             ["eval", "--regimes", "gower", "gower", "--max-rows", "2"],
         ],
@@ -411,6 +435,44 @@ class TestErrorSurface:
         }[command]
         capsys.readouterr()
         assert main([command, *argv, "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["restore", "--bogus", "1"], ["eval", "--max-rows", "x"],
+                                      ["restore"], ["restore", "--weight", "0.5"], ["frobnicate"]])
+    def test_usage_error_exits_1(self, small_data, tmp_path, capsys, argv):
+        csv, schema = small_data
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps({"X1": None}))
+        # a bare ["restore"] lacks its required --record
+        extra = ["--record", str(rec_path)] if argv[0] == "restore" and len(argv) > 1 else []
+        assert main([*argv, *extra, "--data", csv, "--schema", schema,
+                     "--out", str(tmp_path / "o.json")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["restore", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert mixbn.__version__ in out if argv == ["--version"] else out.startswith("usage:")
+
+    @pytest.mark.parametrize(
+        "command, states, name",
+        [
+            pytest.param("restore", [], "A", id="no states"),  # with "table": {}
+            pytest.param("restore", [1, 2], "A", id="number states"),
+            pytest.param("restore", "ab", "A", id="states a string"),
+            pytest.param("export-dot", ["a", "b"], 5, id="number name"),
+        ],
+    )
+    def test_model_file_with_bad_labels_is_an_input_error(self, tmp_path, capsys, command, states, name):
+        table = {"[]": [0.5, 0.5]} if states else {}
+        node = {"name": name, "parents": [], "distribution": {"type": "cpt", "states": states, "table": table}}
+        model_path, rec_path = tmp_path / "model.json", tmp_path / "rec.json"
+        model_path.write_text(json.dumps({"nodes": [node]}))
+        rec_path.write_text(json.dumps({"A": None}))
+        argv = ["--record", str(rec_path)] if command == "restore" else []
+        assert main([command, "--model", str(model_path), *argv, "--out", str(tmp_path / "o.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_input_file(self, tmp_path, capsys):

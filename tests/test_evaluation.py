@@ -170,11 +170,7 @@ class TestLeaveOneOut:
                             training_capture=lambda t, regime, train: captured.append(regime))
         assert rep.metadata["training_failures"] == 3
         assert captured == ["all_dataset"] * 3
-        assert rep.metadata["gower_weight"] is None
-        assert "gower_weight_source" not in rep.metadata
-        weighted = leave_one_out(d, small_config(regimes=("gower_weighted",), max_rows=3, gower_weight=1.0))
-        assert weighted.metadata["training_failures"] == 0
-        assert weighted.metadata["gower_weight"] == 1.0
+        assert not any("weight" in key for key in rep.metadata)
 
     def test_gower_weighted_ranks_each_pool_without_its_target(self):
         # one of these 5 targets gets other analogues under the whole table's penalty ratio
@@ -209,6 +205,16 @@ class TestLeaveOneOut:
             cells = rep.accuracy if col.kind == CATEGORICAL else rep.rmse
             if col.name != "X1":
                 assert set(cells[col.name]) == {"all_dataset"}
+
+    def test_all_missing_target_row_is_skipped(self):
+        d = cluster_dataset(4, 12)
+        d = Dataset(d.schema, ((None,) * len(d.schema), *d.rows[1:]))
+        captured = []
+        rep = leave_one_out(d, small_config(regimes=("all_dataset",)),
+                            training_capture=lambda t, regime, train: captured.append(t))
+        assert rep.metadata["rows_evaluated"] == 12
+        assert rep.metadata["rows_skipped"] == 1
+        assert captured == list(range(1, 12))
 
     def test_too_few_rows_rejected(self):
         d = cluster_dataset(7, 8)
@@ -251,6 +257,21 @@ class TestAnomalyBenchmark:
         d = clg5_dataset(2, 150, noise=0.5)
         cfg = EvalConfig(regimes=("all_dataset",), m_samples=60, seed=4)
         assert anomaly_benchmark(d, cfg) == anomaly_benchmark(d, cfg)
+
+    def test_zero_range_column_is_skipped(self):
+        d = clg5_dataset(2, 150, noise=0.5)
+        j = d.col_index("Y")
+        d = Dataset(d.schema, tuple(r[:j] + (1.0,) + r[j + 1:] for r in d.rows))
+        aucs = anomaly_benchmark(d, EvalConfig(regimes=("all_dataset",), m_samples=60, seed=4))
+        assert set(aucs) == {"X", "Z"}
+
+    def test_short_column_is_skipped_and_the_study_kept(self):
+        # 9 present values leave no room for a 10% injection in any continuous column
+        d = cluster_dataset(7, 9)
+        rep = run_eval(d, small_config(regimes=("all_dataset",)))
+        assert rep.metadata["training_failures"] == 0
+        assert rep.auc == {}
+        assert set(rep.rmse) == {f"X{i}" for i in range(1, 6)}
 
     def test_no_continuous_columns_rejected(self):
         d = Dataset((ColumnSchema("K", CATEGORICAL),), (("a",), ("b",)))

@@ -55,6 +55,16 @@ class TestFitCpt:
         with pytest.raises(ParameterError):
             fit_cpt(d, "A", [])
 
+    def test_all_missing_column_rejected(self):
+        d = make([("A", CATEGORICAL)], [(None,), (None,)])
+        with pytest.raises(ParameterError, match="no complete-case rows"):
+            fit_cpt(d, "A", [])
+
+    @pytest.mark.parametrize("states", [(), ("a", "a"), (1, 2), ["a", "b"], "ab"])
+    def test_states_must_be_distinct_labels(self, states):
+        with pytest.raises(ParameterError, match="states"):
+            Cpt(states, {})
+
 
 class TestFitLinearGaussian:
     def test_exact_linear_relation(self):

@@ -277,15 +277,12 @@ class TestNearestAnalogues:
 class TestMetricSpec:
     POOL = Dataset(MIXED, (("a", 0.0), ("b", 10.0), ("c", 5.0), ("d", 5.0)))
 
-    def test_both_spellings_select_gower_weighted(self):
-        hyphen = metric_spec("gower-weighted", self.POOL, weight=3.0)
-        assert hyphen == metric_spec("gower_weighted", self.POOL, weight=3.0)
-        assert hyphen.metric == "gower_weighted"
-        assert hyphen.weights == {"K": 1.0, "V": 3.0}
-
     def test_unknown_metric_rejected(self):
         with pytest.raises(SimilarityError):
             metric_spec("euclid", self.POOL)
+        # the CLI maps gower-weighted to gower_weighted; the library takes one name
+        with pytest.raises(SimilarityError, match="unknown metric 'gower-weighted'"):
+            metric_spec("gower-weighted", self.POOL)
 
     def test_weight_derived_from_penalty_ratio(self):
         _, ratio = penalty_weights(self.POOL)
