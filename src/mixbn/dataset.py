@@ -158,12 +158,12 @@ def schema_from_json(obj: Mapping) -> list[ColumnSchema]:
 
 
 def read_json(path: str):
-    """The JSON value in a UTF-8 file.  Bad JSON, bad UTF-8 or an integer past
-    Python's digit limit raises MixbnError naming the file."""
+    """The JSON value in a UTF-8 file.  Bad JSON, bad UTF-8, nesting too deep to
+    parse or an integer past Python's digit limit raises MixbnError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MixbnError(f"{path}: not a readable JSON file ({exc})") from None
 
 
@@ -184,17 +184,19 @@ def load_csv(path: str, schema: Sequence[ColumnSchema]) -> Dataset:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            lines = list(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty file, no header row")
-        if len(set(header)) != len(header):
-            raise DatasetError(f"{path}: duplicate header names")
-        if set(header) != {c.name for c in schema}:
-            unknown = set(header) - {c.name for c in schema}
-            missing = {c.name for c in schema} - set(header)
-            raise DatasetError(
-                f"{path}: header mismatch (unknown: {sorted(unknown)}, missing: {sorted(missing)})"
-            )
-        lines = list(reader)
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+            raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
+    if len(set(header)) != len(header):
+        raise DatasetError(f"{path}: duplicate header names")
+    if set(header) != {c.name for c in schema}:
+        unknown = set(header) - {c.name for c in schema}
+        missing = {c.name for c in schema} - set(header)
+        raise DatasetError(
+            f"{path}: header mismatch (unknown: {sorted(unknown)}, missing: {sorted(missing)})"
+        )
     for r, raw in enumerate(lines, start=1):
         if len(raw) != len(header):
             raise DatasetError(f"{path}: row {r} has {len(raw)} cells, expected {len(header)}")

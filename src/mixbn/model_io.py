@@ -116,9 +116,11 @@ def _distribution_from_dict(obj: dict):
 
 def model_from_dict(obj: dict) -> BayesianNetworkModel:
     try:
+        for n in obj["nodes"]:
+            if not (isinstance(n["name"], str) and isinstance(n["parents"], list)
+                    and all(map(isinstance, n["parents"], repeat(str)))):
+                raise ParameterError(f"node {n['name']!r} needs a string name and a JSON list of parent names")
         names = tuple(n["name"] for n in obj["nodes"])
-        if not all(map(isinstance, names, repeat(str))):
-            raise ParameterError(f"node names {list(names)!r} are not all strings")
         edges = frozenset((p, n["name"]) for n in obj["nodes"] for p in n["parents"])
         dists = {n["name"]: _distribution_from_dict(n["distribution"]) for n in obj["nodes"]}
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
@@ -137,7 +139,7 @@ def dumps(model: BayesianNetworkModel) -> str:
 def loads(text: str) -> BayesianNetworkModel:
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or an overlong integer
         raise ParameterError(f"model text is not JSON ({exc})") from None
     return model_from_dict(obj)
 

@@ -8,8 +8,9 @@ families depending on its own kind and its parents' kinds:
   * continuous node, >=1 discrete parent  -> per-discrete-combination
                                              linear-Gaussian regressions
 
-Structure is learned on discretized data but parameters are always fit on
-the raw values.
+Every regression, of a node or of one combination, is the same ridge fit
+over an array of row indices.  Structure is learned on discretized data
+but parameters are always fit on the raw values.
 """
 from __future__ import annotations
 
@@ -28,9 +29,11 @@ from .structure import hill_climb, orientation_guard
 # near-flat prior precision for the regression coefficients; keeps the fit
 # defined on rank-deficient subsamples without visibly shrinking good data
 RIDGE_LAMBDA = 1e-6
-# complete-case rows a linear-Gaussian fit needs; mixlearn's structure search
-# gives every continuous family the same floor
+# complete-case rows a linear-Gaussian fit and each fitted CLG combination need;
+# mixlearn's structure search gives every continuous family the same floor
 MIN_FIT_ROWS = 2
+# Laplace pseudo-count added to every state count of a CPT row
+LAPLACE_ALPHA = 1.0
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,15 @@ def _groups(d: Dataset, names: Sequence[str], mask: np.ndarray) -> tuple[list[tu
     return [tuple(d.labels(n)[d.array(n)[i]] for n in names) for i in rows], group
 
 
-def fit_cpt(d: Dataset, child: str, parents: Sequence[str], alpha: float = 1.0) -> Cpt:
-    """Laplace-smoothed conditional frequencies over observed parent configurations."""
-    for name in (child, *parents):
-        if d.kind(name) != CATEGORICAL:
-            raise ParameterError(f"column {name!r} is not categorical")
+def _require(d: Dataset, names: Sequence[str], kind: str) -> None:
+    for name in names:
+        if d.kind(name) != kind:
+            raise ParameterError(f"column {name!r} is not {kind}")
+
+
+def fit_cpt(d: Dataset, child: str, parents: Sequence[str]) -> Cpt:
+    """Laplace-smoothed (LAPLACE_ALPHA) conditional frequencies over observed parent configurations."""
+    _require(d, (child, *parents), CATEGORICAL)
     states = d.labels(child)
     mask = d.present(child, *parents)
     if not mask.any():
@@ -153,35 +160,19 @@ def fit_cpt(d: Dataset, child: str, parents: Sequence[str], alpha: float = 1.0) 
     r = len(states)
     n_jk = np.bincount(group[mask] * r + d.array(child)[mask], minlength=len(configs) * r)
     n_jk = n_jk.reshape(len(configs), r)
-    probs = (n_jk + alpha) / (n_jk.sum(axis=1, keepdims=True) + alpha * r)
+    probs = (n_jk + LAPLACE_ALPHA) / (n_jk.sum(axis=1, keepdims=True) + LAPLACE_ALPHA * r)
     return Cpt(states, dict(zip(configs, map(tuple, probs.tolist()))))
 
 
-def fit_linear_gaussian(
-    d: Dataset, child: str, parents: Sequence[str], rows: Optional[np.ndarray] = None
-) -> LinearGaussian:
-    """Posterior-mean ridge regression of child on its continuous parents.
-
-    Fitted on the rows of the boolean mask ``rows`` (all rows by default)
-    that hold the child and every parent.  Intercept unpenalized;
-    population (divide-by-n) variance convention for the residual variance.
-    """
-    for name in (child, *parents):
-        if d.kind(name) != CONTINUOUS:
-            raise ParameterError(f"column {name!r} is not continuous")
-    mask = d.present(child, *parents)
-    if rows is not None:
-        mask &= rows
-    n = int(mask.sum())
-    if n < MIN_FIT_ROWS:
-        raise ParameterError(f"need >= {MIN_FIT_ROWS} complete-case rows to fit {child!r}, got {n}")
-    y = d.array(child)[mask]
+def _regress(d: Dataset, child: str, parents: Sequence[str], rows: np.ndarray) -> LinearGaussian:
+    """Posterior-mean ridge regression of child on its continuous parents over the
+    row indices ``rows``, where all of them are present.  Intercept unpenalized;
+    population (divide-by-n) variance convention for the residual variance."""
+    y = d.array(child)[rows]
     y_mean = float(y.mean())
     if not parents:
         return LinearGaussian(y_mean, {}, float(y.var()))
-    x = np.empty((n, len(parents)))
-    for k, p in enumerate(parents):
-        x[:, k] = d.array(p)[mask]
+    x = np.column_stack([d.array(p)[rows] for p in parents])
     x_mean = x.mean(axis=0)
     xc = x - x_mean
     yc = y - y_mean
@@ -194,29 +185,34 @@ def fit_linear_gaussian(
     )
 
 
+def fit_linear_gaussian(d: Dataset, child: str, parents: Sequence[str]) -> LinearGaussian:
+    """Ridge regression of child on its continuous parents over the rows that hold
+    the child and every parent, at least MIN_FIT_ROWS of them."""
+    _require(d, (child, *parents), CONTINUOUS)
+    rows = np.flatnonzero(d.present(child, *parents))
+    if len(rows) < MIN_FIT_ROWS:
+        raise ParameterError(f"need >= {MIN_FIT_ROWS} complete-case rows to fit {child!r}, got {len(rows)}")
+    return _regress(d, child, parents, rows)
+
+
 def fit_conditional_linear_gaussian(
     d: Dataset,
     child: str,
     discrete_parents: Sequence[str],
     continuous_parents: Sequence[str],
 ) -> ConditionalLinearGaussian:
-    """One linear-Gaussian per observed discrete-parent combination.
-
-    Combinations with fewer than MIN_FIT_ROWS usable rows are left out of the table
-    and use the fallback, which is fitted on all rows.
-    """
-    if d.kind(child) != CONTINUOUS:
-        raise ParameterError(f"column {child!r} is not continuous")
+    """One linear-Gaussian per discrete-parent combination with at least MIN_FIT_ROWS
+    rows that hold the child and every parent; any other combination uses the
+    fallback, fitted on the rows that hold the child and its continuous parents."""
     if not discrete_parents:
         raise ParameterError("conditional fit requires at least one discrete parent")
+    _require(d, discrete_parents, CATEGORICAL)
     fallback = fit_linear_gaussian(d, child, continuous_parents)
-    combos, group = _groups(d, discrete_parents, d.present(*discrete_parents))
-    table = {}
-    for k, combo in enumerate(combos):
-        try:
-            table[combo] = fit_linear_gaussian(d, child, continuous_parents, group == k)
-        except ParameterError:
-            pass  # too few usable rows: the combination uses the fallback
+    usable = d.present(child, *discrete_parents, *continuous_parents)
+    combos, group = _groups(d, discrete_parents, usable)
+    counts = np.bincount(group[usable], minlength=len(combos))
+    table = {combo: _regress(d, child, continuous_parents, np.flatnonzero(group == k))
+             for k, combo in enumerate(combos) if counts[k] >= MIN_FIT_ROWS}
     return ConditionalLinearGaussian(table, fallback)
 
 
@@ -242,8 +238,6 @@ def mixlearn(
         else:
             disc = [p for p in parents if d.kind(p) == CATEGORICAL]
             cont = [p for p in parents if d.kind(p) == CONTINUOUS]
-            if disc:
-                distributions[node] = fit_conditional_linear_gaussian(d, node, disc, cont)
-            else:
-                distributions[node] = fit_linear_gaussian(d, node, cont)
+            distributions[node] = (fit_conditional_linear_gaussian(d, node, disc, cont) if disc
+                                   else fit_linear_gaussian(d, node, cont))
     return BayesianNetworkModel(dag, distributions)

@@ -146,12 +146,10 @@ def k2_family_score(d: Dataset, child: str, parents: Iterable[str]) -> float:
     return FamilyScoreCache().get(d, child, parents)
 
 
-def k2_total_score(
-    d: Dataset, g: Dag, cache: Optional[FamilyScoreCache] = None
-) -> float:
+def k2_total_score(d: Dataset, g: Dag) -> float:
     """Sum of family scores over all nodes of g (decomposable)."""
     _require_discrete(d, d.names)
-    cache = cache or FamilyScoreCache()
+    cache = FamilyScoreCache()
     return sum(cache.get(d, node, g.parents(node)) for node in g.nodes)
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from csv import field_size_limit
 
 import pytest
 
@@ -396,6 +397,8 @@ class TestExportDot:
 
 
 BIG_INT = "9" * 5001  # past Python's 4300-digit limit on parsing an int
+DEEP = "[" * 100000  # past Python's recursion limit on parsing JSON
+HEADER = ",".join(cluster_dataset(0, 60).names)
 
 # case -> (command, input to break, its content; None makes the path a directory)
 UNREADABLE = {
@@ -407,6 +410,12 @@ UNREADABLE = {
     "record path a directory": ("restore", "record", None),
     "CSV not UTF-8": ("learn", "data", b"C1,C2\ncaf\xe9,x\n"),
     "model file not UTF-8": ("restore", "model", b'{"nodes": ["caf\xe9"]}'),
+    "record nested too deep": ("restore", "record", DEEP),
+    "schema nested too deep": ("learn", "schema", DEEP),
+    "model file nested too deep": ("restore", "model", DEEP),
+    "expert edges nested too deep": ("learn", "edges", DEEP),
+    "CSV cell past the field size limit": (
+        "learn", "data", f"{HEADER}\n{'x' * (field_size_limit() + 1)}{',' * HEADER.count(',')}\n"),
 }
 
 
@@ -474,6 +483,13 @@ class TestErrorSurface:
         argv = ["--record", str(rec_path)] if command == "restore" else []
         assert main([command, "--model", str(model_path), *argv, "--out", str(tmp_path / "o.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_restore_data_without_schema(self, small_data, tmp_path, capsys):
+        rec_path = tmp_path / "rec.json"
+        rec_path.write_text(json.dumps({"X1": None}))
+        assert main(["restore", "--data", small_data[0], "--record", str(rec_path),
+                     "--out", str(tmp_path / "o.json")]) == 1
+        assert "both --data and --schema" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["learn", "--data", str(tmp_path / "nope.csv"),

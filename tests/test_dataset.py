@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -103,6 +104,32 @@ class TestDatasetInvariants:
             cells = d.column(name)
             assert cells == [r[j] for r in d.rows]
             assert [type(v) for v in cells] == [type(r[j]) for r in d.rows]
+
+
+def _load_text(text):
+    def load(tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        return load_csv(str(p), [ColumnSchema(n, k) for n, k in AB])
+    return load
+
+
+BAD_INPUT = {
+    "unknown column kind": (lambda tmp_path: ColumnSchema("A", "ordinal"), "unknown column kind"),
+    "row of the wrong length": (lambda tmp_path: make(AB, [("x",)]), "row 0 has 1 values, expected 2"),
+    "unknown column name": (lambda tmp_path: make(AB, [("x", 1.0)]).kind("Z"), "unknown column 'Z'"),
+    "empty CSV file": (_load_text(""), "empty file"),
+    "CSV row with the wrong cell count": (_load_text("A,B\nx,1\ny\n"), "row 2 has 1 cells, expected 2"),
+    "CSV cell past the field size limit": (
+        _load_text("A,B\nx,1\n" + "y" * (csv.field_size_limit() + 1) + ",2\n"), "d.csv: line 3: field larger"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_raises_a_dataset_error(tmp_path, case):
+    build, message = BAD_INPUT[case]
+    with pytest.raises(DatasetError, match=message):
+        build(tmp_path)
 
 
 class TestQuantileDiscretize:

@@ -109,6 +109,18 @@ class TestEvalConfig:
             small_config(regimes=("gower", "gower"))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: EvalConfig(regimes=()), "at least one regime", id="no regimes"),
+        pytest.param(lambda: roc_auc([0.1, 0.2], [True]), "must align", id="misaligned roc_auc"),
+    ],
+)
+def test_bad_input_raises_an_evaluation_error(call, message):
+    with pytest.raises(EvaluationError, match=message):
+        call()
+
+
 class TestLeaveOneOut:
     def test_identical_rows_are_perfectly_restored(self):
         schema = (ColumnSchema("K", CATEGORICAL), ColumnSchema("V", CONTINUOUS))

@@ -31,6 +31,10 @@ class TestConstructor:
         with pytest.raises(GraphError):
             dag("AB", {("A", "Z")})
 
+    def test_duplicate_node_names(self):
+        with pytest.raises(GraphError, match="duplicate node names"):
+            dag("ABA")
+
 
 class TestTopologicalOrder:
     def test_chain(self):

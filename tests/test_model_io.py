@@ -303,6 +303,9 @@ INVALID = {
     "probabilities as bools": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), [True, False]),
     "probability null": set_key(lambda o: (node(o, "A")["distribution"]["table"], "[]"), [None, 1.0]),
     "CLG key label unknown to its parent": rekey("X", '["a0"]', '["zz"]'),
+    # a string of one-letter names would otherwise be read as its characters, A, B and X
+    "parents a string": set_key(lambda o: (node(o, "Y"), "parents"), "ABX"),
+    "parent not a string": set_key(lambda o: (node(o, "X"), "parents"), [["A"]]),
     "CLG key label of another parent": rekey("Y", '["a0", "b0"]', '["b0", "a0"]'),
 }
 
@@ -329,7 +332,8 @@ class TestInvalidModels:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "text", ['{"nodes": [}', '{"nodes": [' + "9" * 5001 + "]}"], ids=["bad JSON", "5001-digit integer"]
+        "text", ['{"nodes": [}', '{"nodes": [' + "9" * 5001 + "]}", "[" * 100000],
+        ids=["bad JSON", "5001-digit integer", "nested 100000 deep"],
     )
     def test_text_that_is_not_json_is_rejected_on_loads(self, text):
         with pytest.raises(ParameterError, match="not JSON"):

@@ -24,29 +24,25 @@ def make(columns, rows):
 
 
 class TestFitCpt:
-    def test_plain_frequencies(self):
-        d = make([("A", CATEGORICAL)], [("a",), ("a",), ("b",)])
-        cpt = fit_cpt(d, "A", [], alpha=0.0)
-        assert cpt.states == ("a", "b")
-        assert cpt.table[()] == pytest.approx((2 / 3, 1 / 3))
-
     def test_laplace_smoothing(self):
         d = make([("A", CATEGORICAL)], [("a",), ("a",), ("b",)])
-        cpt = fit_cpt(d, "A", [], alpha=1.0)
+        cpt = fit_cpt(d, "A", [])
+        assert cpt.states == ("a", "b")
         assert cpt.table[()] == pytest.approx((3 / 5, 2 / 5))
 
     def test_one_parent_against_counting_oracle(self):
         rows = [("p", "a"), ("p", "a"), ("p", "b"), ("p", "a"),
                 ("q", "b"), ("q", "b"), ("q", "a"), ("q", "b")]
         d = make([("P", CATEGORICAL), ("A", CATEGORICAL)], rows)
-        cpt = fit_cpt(d, "A", ["P"], alpha=0.0)
-        assert cpt.table[("p",)] == pytest.approx((3 / 4, 1 / 4))
-        assert cpt.table[("q",)] == pytest.approx((1 / 4, 3 / 4))
+        cpt = fit_cpt(d, "A", ["P"])
+        # counts (3, 1) and (1, 3), each plus one pseudo-count
+        assert cpt.table[("p",)] == pytest.approx((4 / 6, 2 / 6))
+        assert cpt.table[("q",)] == pytest.approx((2 / 6, 4 / 6))
 
     def test_rows_sum_to_one(self):
         rows = [("p", "a"), ("q", "b"), ("p", "b"), ("q", "c")]
         d = make([("P", CATEGORICAL), ("A", CATEGORICAL)], rows)
-        cpt = fit_cpt(d, "A", ["P"], alpha=1.0)
+        cpt = fit_cpt(d, "A", ["P"])
         for probs in cpt.table.values():
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
@@ -137,6 +133,15 @@ class TestFitConditionalLinearGaussian:
         assert ("v",) not in clg.table
         assert clg.for_combination(("v",)) is clg.fallback
 
+    def test_combination_counts_only_rows_that_hold_the_child_and_every_parent(self):
+        # "v" appears 4 times but holds the child and X together only once
+        rows = [("u", 1.0, 2.0), ("u", 2.0, 4.0), ("u", 3.0, 6.0),
+                ("v", 1.0, None), ("v", None, 5.0), ("v", None, None), ("v", 2.0, 9.0)]
+        d = make([("G", CATEGORICAL), ("X", CONTINUOUS), ("Y", CONTINUOUS)], rows)
+        clg = fit_conditional_linear_gaussian(d, "Y", ["G"], ["X"])
+        assert list(clg.table) == [("u",)]
+        assert clg.table[("u",)].coefficients["X"] == pytest.approx(2.0, abs=1e-4)
+
     def test_per_group_slopes_against_oracle(self):
         rng = np.random.default_rng(17)
         slopes = {("u", "s"): 1.0, ("u", "t"): -1.5, ("v", "s"): 2.5, ("v", "t"): 0.3}
@@ -164,6 +169,27 @@ class TestFitConditionalLinearGaussian:
         d = make([("G", CATEGORICAL), ("A", CATEGORICAL)], [("u", "a")])
         with pytest.raises(ParameterError):
             fit_conditional_linear_gaussian(d, "A", ["G"], [])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Cpt(("a", "b"), {(): (1.0,)}), "length mismatch", id="short CPT row"),
+        pytest.param(lambda: Cpt(("a", "b"), {(): (0.5, 0.6)}), "not a finite distribution",
+                     id="CPT row summing to 1.1"),
+        pytest.param(lambda: LinearGaussian(np.nan, {}, 1.0), "must be finite", id="NaN intercept"),
+        pytest.param(lambda: LinearGaussian(0.0, {"X": np.inf}, 1.0), "must be finite", id="infinite coefficient"),
+        pytest.param(lambda: LinearGaussian(0.0, {}, np.inf), "residual variance", id="infinite variance"),
+        pytest.param(lambda: fit_linear_gaussian(make([("A", CATEGORICAL)], [("a",), ("b",)]), "A", []),
+                     "'A' is not continuous", id="LG on a categorical column"),
+        pytest.param(lambda: fit_conditional_linear_gaussian(
+            make([("X", CONTINUOUS), ("Y", CONTINUOUS)], [(1.0, 2.0), (2.0, 3.0)]), "Y", ["X"], []),
+            "'X' is not categorical", id="CLG on a continuous discrete parent"),
+    ],
+)
+def test_bad_input_raises_a_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
 
 
 class TestMixlearn:

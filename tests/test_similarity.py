@@ -293,6 +293,25 @@ class TestMetricSpec:
         assert metric_spec("gower", self.POOL, epsilon=0.3).epsilon is None
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: spec(weights={"V": -1.0}), "finite and non-negative", id="negative weight"),
+        pytest.param(lambda: spec(weights={"V": math.inf}), "finite and non-negative", id="infinite weight"),
+        pytest.param(lambda: DistanceSpec("filter"), r"epsilon in \(0, 1\]", id="filter without epsilon"),
+        pytest.param(lambda: DistanceSpec("filter", epsilon=0.0), r"epsilon in \(0, 1\]", id="filter epsilon 0"),
+        pytest.param(lambda: DistanceSpec("filter", epsilon=1.5), r"epsilon in \(0, 1\]", id="filter epsilon 1.5"),
+        pytest.param(lambda: DistanceSpec("gower", epsilon=0.1), "only meaningful for the filter",
+                     id="epsilon on gower"),
+        pytest.param(lambda: AnalogueQuery(("a", 1.0), spec(), n_analogues=0), "at least 1", id="no analogues"),
+        pytest.param(lambda: penalty_weights(Dataset(MIXED, (("a", 1.0),))), "at least 2 rows", id="one-row pool"),
+    ],
+)
+def test_bad_input_raises_a_similarity_error(call, message):
+    with pytest.raises(SimilarityError, match=message):
+        call()
+
+
 class TestPenaltyWeights:
     def test_planted_ratio_two(self):
         schema = (ColumnSchema("K", CATEGORICAL), ColumnSchema("V", CONTINUOUS))

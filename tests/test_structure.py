@@ -156,9 +156,8 @@ class TestK2TotalScore:
         d = random_binary_dataset(3, 14)
         cache = FamilyScoreCache()
         for g in all_three_node_dags(d.names):
-            assert k2_total_score(d, g, cache) == pytest.approx(
-                k2_total_score(d, g), abs=1e-12
-            )
+            cached = sum(cache.get(d, n, g.parents(n)) for n in g.nodes)
+            assert cached == pytest.approx(k2_total_score(d, g), abs=1e-12)
         assert cache.hits > 0
 
 
@@ -200,6 +199,10 @@ class TestHillClimb:
     def test_determinism(self):
         d = random_binary_dataset(6, 16)
         assert hill_climb(d).edges == hill_climb(d).edges
+
+    def test_max_parents_below_one_rejected(self):
+        with pytest.raises(StructureError, match="max_parents must be >= 1"):
+            hill_climb(random_binary_dataset(0, 12), max_parents=0)
 
     def test_max_parents_respected(self):
         d = random_binary_dataset(7, 16, names=("A", "B", "C", "D"))
