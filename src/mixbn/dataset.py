@@ -140,6 +140,14 @@ def cell_problem(v: Value, kind: str) -> Optional[str]:
     return f"expected a finite real, got {v!r}"
 
 
+def integer(value, what: str, error: type[MixbnError]) -> int:
+    """``value`` as an int, or ``error`` naming ``what`` if it is not a Python or
+    NumPy integer; a ``bool`` is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_row(row: Sequence[Value], schema: Sequence[ColumnSchema], where: str) -> None:
     """Raise DatasetError for the first cell of ``row`` that is neither missing nor valid."""
     for col, v in zip(schema, row):

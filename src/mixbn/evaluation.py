@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, Dataset, normalize_ranges, select_rows
+from .dataset import CATEGORICAL, CONTINUOUS, Dataset, integer, normalize_ranges, select_rows
 from .errors import EvaluationError, MixbnError
 from .inference import anomaly_score, restore, sanitize_evidence
 from .parameters import BayesianNetworkModel, mixlearn
@@ -75,6 +75,9 @@ class EvalConfig:
                 raise EvaluationError(f"unknown regime {r!r}")
         if len(set(self.regimes)) < len(self.regimes):
             raise EvaluationError(f"each regime may be given once, got {list(self.regimes)}")
+        for f in ("n_analogues", "bins", "max_parents", "m_samples", "seed", "max_rows"):
+            if f != "max_rows" or self.max_rows is not None:
+                object.__setattr__(self, f, integer(getattr(self, f), f, EvaluationError))
         if self.m_samples < 1 or self.n_analogues < 1:
             raise EvaluationError("m_samples and n_analogues must be at least 1")
         if self.bins < 2 or self.max_parents < 1:

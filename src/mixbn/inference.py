@@ -7,11 +7,14 @@ entry and ``sanitize_evidence`` keeps the good ones in order.  A record
 given to ``restore`` or ``anomaly_score`` may hold None for missing, but
 not a field the model lacks; the anomaly target's value is checked too.
 
-Evidence nodes are clamped and draw nothing.  Each sample draws the free
-nodes in topological order given their parents' values, one RNG call per
-draw: ``random()`` for a categorical node, ``standard_normal()`` for a
-continuous one with positive residual variance, none at zero variance.  So
-a seed gives the samples of the reference in ``tests/sampler_reference.py``.
+Evidence nodes are clamped and draw nothing.  A categorical draw takes one
+``random()`` from the generator and a continuous one ``standard_normal()``,
+or nothing at zero residual variance.  A lone free node draws its m values
+in one generator call, which takes the same numbers as m single calls
+would.  With more free nodes, each sample draws them in topological order
+given their parents' values, and a draw plan the evidence fixes is found
+once per call.  Either way a seed gives the samples of the reference in
+``tests/sampler_reference.py``.
 Unseen parent configurations never abort a chain: CPT nodes fall back to a
 uniform draw over their states and conditional linear-Gaussian nodes fall
 back to their whole-column parameters.
@@ -26,7 +29,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, Value, cell_problem
+from .dataset import CATEGORICAL, CONTINUOUS, Value, cell_problem, integer
 from .errors import InferenceError
 from .parameters import BayesianNetworkModel, ConditionalLinearGaussian, Cpt
 
@@ -89,6 +92,8 @@ def forward_sample(
 
     Returns one column of m values per node; the seed fully determines it.
     """
+    m = integer(m, "sample count", InferenceError)
+    seed = integer(seed, "seed", InferenceError)
     if m <= 0:
         raise InferenceError(f"sample count must be positive, got {m}")
     if seed < 0:
@@ -97,16 +102,28 @@ def forward_sample(
     rng = np.random.default_rng(seed)
     current = {n: float(v) if model.node_kind[n] == CONTINUOUS else v for n, v in ev.items()}
     columns = {n: [current[n]] * m if n in current else [] for n in model.dag.nodes}
-    # a CPT's parents are all discrete, so discrete parents key every node's draw
-    free = [(n, model.distributions[n], model.node_kind[n] == CATEGORICAL, model.discrete_parents(n),
-             {}, columns[n].append) for n in model.dag.topological_order() if n not in current]
+    # a CPT's parents are all discrete, so discrete parents key every node's draw; a node
+    # whose key the evidence fixes gets its plan here, and None in place of its key parents
+    free = []
+    for n in model.dag.topological_order():
+        if n not in current:
+            dist, key_parents = model.distributions[n], model.discrete_parents(n)
+            fixed = all(p in current for p in key_parents)
+            plan = _draw_plan(dist, tuple([current[p] for p in key_parents])) if fixed else None
+            free.append((n, dist, model.node_kind[n] == CATEGORICAL, None if fixed else key_parents,
+                         plan, {}, columns[n].append))
+    if len(free) == 1:
+        node, dist, categorical, _, plan, _, _ = free[0]
+        columns[node] = _draw_column(dist, categorical, plan, current, m, rng)
+        return columns
     for _ in range(m):
-        for node, dist, categorical, key_parents, plans, append in free:
-            key = tuple([current[p] for p in key_parents])
-            try:
-                plan = plans[key]
-            except KeyError:
-                plan = plans[key] = _draw_plan(dist, key)
+        for node, dist, categorical, key_parents, plan, plans, append in free:
+            if key_parents is not None:
+                key = tuple([current[p] for p in key_parents])
+                try:
+                    plan = plans[key]
+                except KeyError:
+                    plan = plans[key] = _draw_plan(dist, key)
             if categorical:
                 u, states = rng.random(), dist.states
                 value = states[min(int(u * len(states)), len(states) - 1) if plan is None else bisect_left(plan, u)]
@@ -117,6 +134,21 @@ def forward_sample(
             current[node] = value
             append(value)
     return columns
+
+
+def _draw_column(dist, categorical: bool, plan, current: dict, m: int, rng) -> list:
+    """m draws of a lone free node from its plan in one generator call, which
+    takes the same numbers from the generator as m single calls."""
+    if categorical:
+        u, states = rng.random(m), dist.states
+        if plan is None:
+            picks = np.minimum((u * len(states)).astype(np.intp), len(states) - 1)
+        else:
+            picks = np.searchsorted(plan, u, side="left")
+        return [states[i] for i in picks.tolist()]
+    intercept, coefficients, std = plan
+    mean = intercept + sum(coef * current[p] for p, coef in coefficients)
+    return (mean + std * rng.standard_normal(m)).tolist() if std > 0 else [float(mean)] * m
 
 
 def _draw_plan(dist, key: tuple):

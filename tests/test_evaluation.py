@@ -85,20 +85,32 @@ def small_config(**kw):
 
 class TestEvalConfig:
     @pytest.mark.parametrize("field", ["m_samples", "n_analogues"])
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 40.5, True, "40"])
     def test_counts_below_one_rejected(self, field, value):
+        # leave_one_out can use none of these, so the config takes none
         with pytest.raises(EvaluationError):
             small_config(**{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
         [("bins", 1), ("bins", 0), ("max_parents", 0), ("max_parents", -1),
+         ("bins", 4.5), ("bins", True), ("max_parents", 2.0), ("max_parents", None),
          ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", 1.5), ("epsilon", math.nan)],
     )
     def test_training_settings_that_cannot_train_rejected(self, field, value):
         # each would make every train_model fail into training_failures
         with pytest.raises(EvaluationError, match=field):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("seed", 0.5), ("seed", False), ("max_rows", 5.0), ("max_rows", True)])
+    def test_non_integer_seed_or_row_cap_rejected(self, field, value):
+        with pytest.raises(EvaluationError, match=f"{field} must be an integer"):
+            small_config(**{field: value})
+
+    def test_numpy_integer_counts_accepted_as_ints(self):
+        fields = ("n_analogues", "bins", "max_parents", "m_samples", "seed", "max_rows")
+        config = small_config(**{f: np.int64(3) for f in fields})
+        assert all(type(getattr(config, f)) is int and getattr(config, f) == 3 for f in fields)
 
     def test_epsilon_of_one_accepted(self):
         assert small_config(epsilon=1.0).epsilon == 1.0

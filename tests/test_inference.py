@@ -101,6 +101,22 @@ class TestForwardSample:
         with pytest.raises(InferenceError, match="seed"):
             forward_sample(chain_model(), {}, 5, seed=-1)
 
+    @pytest.mark.parametrize("m, seed", [(2.5, 0), (True, 0), ("5", 0), (None, 0),
+                                         (5, 0.5), (5, False), (5, "0"), (5, None)])
+    def test_non_integer_count_or_seed_rejected(self, m, seed):
+        with pytest.raises(InferenceError, match="must be an integer"):
+            forward_sample(chain_model(), {}, m, seed)
+
+    def test_non_integer_count_rejected_by_restore_and_anomaly_score(self):
+        with pytest.raises(InferenceError, match="must be an integer"):
+            restore(lg_model(), {"X": 1.0, "Y": None}, 2.5, 0)
+        with pytest.raises(InferenceError, match="must be an integer"):
+            anomaly_score(lg_model(), {"X": 1.0, "Y": 3.5}, "Y", 20, 0.5)
+
+    def test_numpy_integers_accepted(self):
+        got = forward_sample(lg_model(), {"X": 1.0}, np.int64(20), np.uint8(7))
+        assert got == forward_sample(lg_model(), {"X": 1.0}, 20, 7)
+
     def test_root_cpt_frequencies(self):
         model = chain_model()
         m = 10000
@@ -154,14 +170,23 @@ EVIDENCE_FIELDS = {
     "all but a continuous field": tuple(n for n in NAMES if n != "Porosity"),
     "all but a categorical field": tuple(n for n in NAMES if n != "Lithology"),
 }
+# case -> (model builder, evidence, sample count)
 HAND_BUILT = {
-    "CPT row unseen in training": (lambda: chain_model({("c",): (1.0, 0.0)}), {}),
-    "CLG combination missing from the table": (clg_model, {}),
-    "unseen rows under evidence": (clg_model, {"A": "c"}),
-    "LG with zero residual variance": (lambda: lg_model(resvar=0.0), {}),
-    "zero residual variance under evidence": (lambda: lg_model(resvar=0.0), {"X": 1.5}),
-    "int evidence for a continuous node": (lg_model, {"X": 2}),
-    "evidence in non-topological order": (clg_model, {"X": 3.0, "S": "only", "A": "c"}),
+    "CPT row unseen in training": (lambda: chain_model({("c",): (1.0, 0.0)}), {}, 300),
+    "CLG combination missing from the table": (clg_model, {}, 300),
+    "unseen rows under evidence": (clg_model, {"A": "c"}, 300),
+    "LG with zero residual variance": (lambda: lg_model(resvar=0.0), {}, 300),
+    "zero residual variance under evidence": (lambda: lg_model(resvar=0.0), {"X": 1.5}, 300),
+    "int evidence for a continuous node": (lg_model, {"X": 2}, 300),
+    "evidence in non-topological order": (clg_model, {"X": 3.0, "S": "only", "A": "c"}, 300),
+    # one free node: all m values come from one generator call
+    "lone free node, CPT row unseen": (clg_model, {"A": "c", "X": 0.5, "Y": -1.0, "S": "only"}, 300),
+    "lone free node, CPT row with a zero": (clg_model, {"A": "a", "X": 0.5, "Y": -1.0, "S": "only"}, 300),
+    "lone free node, single-state CPT": (clg_model, {"A": "a", "B": "d", "X": 0.5, "Y": -1.0}, 300),
+    "lone free node, CLG combination": (clg_model, {"A": "a", "B": "b", "Y": -1.0, "S": "only"}, 300),
+    "lone free node, CLG fallback": (clg_model, {"A": "c", "B": "e", "Y": 2, "S": "only"}, 300),
+    "lone free root": (chain_model, {"B": "d"}, 300),
+    "lone free node, one sample": (clg_model, {"A": "a", "X": 0.5, "Y": -1.0, "S": "only"}, 1),
 }
 
 
@@ -185,9 +210,9 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("case", sorted(HAND_BUILT))
     def test_hand_built_model(self, case):
-        build, ev = HAND_BUILT[case]
+        build, ev, m = HAND_BUILT[case]
         for sample_seed in (0, 3):
-            assert_same_as_reference(build(), ev, 300, sample_seed)
+            assert_same_as_reference(build(), ev, m, sample_seed)
 
     def test_restore_and_anomaly_score_sample_through_the_module_global(self, monkeypatch):
         # bench/tracing.py counts node draws by patching this name the same way
