@@ -14,7 +14,7 @@ from .dataset import (  # noqa: F401
 )
 from .errors import MixbnError  # noqa: F401
 from .graph import Dag, EdgeConstraints  # noqa: F401
-from .inference import anomaly_score, forward_sample, restore  # noqa: F401
+from .inference import anomaly_score, forward_sample, posterior, restore  # noqa: F401
 from .parameters import (  # noqa: F401
     BayesianNetworkModel,
     ConditionalLinearGaussian,

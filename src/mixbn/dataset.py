@@ -249,7 +249,7 @@ def quantile_discretize(d: Dataset, bins: int) -> tuple[Dataset, dict[str, tuple
     ``bins`` gets fewer bins; one with no value at all raises.  Missing
     stays missing; categorical columns pass through unchanged.
     """
-    if bins < 2:
+    if integer(bins, "bins", DatasetError) < 2:
         raise DatasetError(f"bins must be >= 2, got {bins}")
     edges: dict[str, tuple[float, ...]] = {}
     columns = []

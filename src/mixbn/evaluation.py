@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, Dataset, integer, normalize_ranges, select_rows
+from .dataset import CATEGORICAL, CONTINUOUS, Dataset, cell_problem, integer, normalize_ranges, select_rows
 from .errors import EvaluationError, MixbnError
 from .inference import anomaly_score, restore, sanitize_evidence
 from .parameters import BayesianNetworkModel, mixlearn
@@ -82,8 +82,8 @@ class EvalConfig:
             raise EvaluationError("m_samples and n_analogues must be at least 1")
         if self.bins < 2 or self.max_parents < 1:
             raise EvaluationError(f"need bins >= 2 and max_parents >= 1, got {self.bins} and {self.max_parents}")
-        if not 0 < self.epsilon <= 1:
-            raise EvaluationError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        if cell_problem(self.epsilon, CONTINUOUS) or not 0 < self.epsilon <= 1:
+            raise EvaluationError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
         if self.max_rows is not None and self.max_rows < 1:
             raise EvaluationError(f"max_rows must be at least 1, got {self.max_rows}")
         if self.seed < 0:

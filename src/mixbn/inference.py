@@ -1,11 +1,12 @@
-"""Forward sampling with evidence, missing-value restoration, anomaly scoring.
+"""Forward sampling with evidence, and the posterior that restoration and anomaly scoring read.
 
 An evidence entry names a node of the model and holds a present cell of
 the node's kind under ``dataset.cell_problem``; a categorical label must be
 one of the node's states.  ``validate_evidence`` raises on the first bad
-entry and ``sanitize_evidence`` keeps the good ones in order.  A record
-given to ``restore`` or ``anomaly_score`` may hold None for missing, but
-not a field the model lacks; the anomaly target's value is checked too.
+entry and ``sanitize_evidence`` keeps the good ones in order.  ``posterior``
+samples fields of a record given its other present fields; the record may
+hold None for missing, but not a field the model lacks.  ``restore`` and
+``anomaly_score``, whose target value is checked too, reduce that posterior.
 
 Evidence nodes are clamped and draw nothing.  A categorical draw takes one
 ``random()`` from the generator and a continuous one ``standard_normal()``,
@@ -23,9 +24,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from itertools import accumulate
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import InferenceError
 from .parameters import BayesianNetworkModel, ConditionalLinearGaussian, Cpt
 
 Evidence = Mapping[str, Value]
+Posterior = Union[dict[str, float], tuple[float, float]]  # state probabilities, or (mean, sd)
 
 
 def _evidence_problem(model: BayesianNetworkModel, name: str, value: Value) -> Optional[str]:
@@ -67,22 +68,8 @@ def sanitize_evidence(
     Used by batch harnesses where a held-out record may carry labels the
     locally trained model never saw.  Both parts keep the order of ``ev``.
     """
-    valid: dict[str, Value] = {}
-    dropped: list[str] = []
-    for name, value in ev.items():
-        if _evidence_problem(model, name, value):
-            dropped.append(name)
-        else:
-            valid[name] = value
-    return valid, dropped
-
-
-def _evidence(model: BayesianNetworkModel, record: Evidence, target: Optional[str] = None) -> dict:
-    """The present fields of ``record`` but ``target``; ``forward_sample`` checks their values."""
-    unknown = set(record) - set(model.dag.nodes)
-    if unknown:
-        raise InferenceError(f"record names unknown nodes {sorted(unknown)}")
-    return {k: v for k, v in record.items() if k != target and v is not None}
+    valid = {name: value for name, value in ev.items() if not _evidence_problem(model, name, value)}
+    return valid, [name for name in ev if name not in valid]
 
 
 def forward_sample(
@@ -161,30 +148,48 @@ def _draw_plan(dist, key: tuple):
     return lg.intercept, tuple(lg.coefficients.items()), math.sqrt(lg.residual_variance)
 
 
+def posterior(
+    model: BayesianNetworkModel, record: Mapping[str, Value], fields: Sequence[str], m: int, seed: int
+) -> dict[str, Posterior]:
+    """The conditional of each of ``fields`` given the other present fields of ``record``,
+    from one ``forward_sample`` call of m samples: ``{state: count / m}`` in state order
+    for a categorical field, the (mean, population sd) of its draws for a continuous one."""
+    unknown = set(record) - set(model.dag.nodes)
+    if unknown:
+        raise InferenceError(f"record names unknown nodes {sorted(unknown)}")
+    if not fields:
+        raise InferenceError("no fields to infer; a record with no missing fields has nothing to restore")
+    if not set(fields) <= set(model.dag.nodes) or len(set(fields)) < len(fields):
+        raise InferenceError(f"fields must be distinct nodes of the model, got {list(fields)}")
+    ev = {k: v for k, v in record.items() if k not in fields and v is not None}
+    samples = forward_sample(model, ev, m, seed)
+    out: dict[str, Posterior] = {}
+    for node in fields:
+        drawn = samples[node]
+        if model.node_kind[node] == CATEGORICAL:
+            out[node] = {s: drawn.count(s) / len(drawn) for s in model.distributions[node].states}
+        else:
+            x = np.asarray(drawn, dtype=float)
+            mean = float(x.mean())
+            # the sum, division and square root of np.std, in one pass over x
+            d = x - mean
+            out[node] = mean, math.sqrt((d * d).mean())
+    return out
+
+
 def restore(
     model: BayesianNetworkModel,
     record: Mapping[str, Value],
     m: int,
     seed: int,
 ) -> dict[str, Value]:
-    """Fill the missing fields of a partial record from a conditioned sample.
-
-    Categorical gaps take the sample mode (ties by label order),
-    continuous gaps the sample mean; observed fields pass through.
-    """
-    ev = _evidence(model, record)
-    missing = [n for n in model.dag.nodes if n not in ev]
-    if not missing:
-        raise InferenceError("record has no missing fields; nothing to restore")
-    samples = forward_sample(model, ev, m, seed)
+    """Fill the missing fields of a partial record with the point estimates of their
+    posterior: a categorical gap takes its most probable state (ties by label order), a
+    continuous gap its posterior mean; observed fields pass through."""
+    missing = [n for n in model.dag.nodes if record.get(n) is None]
     out: dict[str, Value] = dict(record)
-    for node in missing:
-        drawn = samples[node]
-        if model.node_kind[node] == CATEGORICAL:
-            counts = Counter(drawn)
-            out[node] = min(counts, key=lambda s: (-counts[s], s))
-        else:
-            out[node] = float(np.mean(drawn))
+    for node, p in posterior(model, record, missing, m, seed).items():
+        out[node] = min(p, key=lambda s: (-p[s], s)) if isinstance(p, dict) else p[0]
     return out
 
 
@@ -195,19 +200,13 @@ def anomaly_score(
     m: int,
     seed: int,
 ) -> tuple[float, bool]:
-    """Standardized distance of the target value from its conditional sample.
-
-    Returns (score, flag); the flag trips when the value lies outside two
-    standard deviations of the sample.
-    """
+    """(score, flag): |x - mean| / sd of the target value x under its posterior (at sd 0, 0 if
+    x is the mean and inf if not), and whether x lies outside two posterior standard deviations."""
     value = record.get(target)
     validate_evidence(model, {target: value})
     if model.node_kind[target] != CONTINUOUS:
         raise InferenceError(f"target {target!r} is not continuous")
-    samples = forward_sample(model, _evidence(model, record, target), m, seed)
-    drawn = np.asarray(samples[target], dtype=float)
-    mean = float(drawn.mean())
-    std = float(drawn.std())
+    mean, std = posterior(model, record, [target], m, seed)[target]
     if std == 0.0:
         score = 0.0 if value == mean else math.inf
     else:

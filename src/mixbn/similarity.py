@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset, Value, normalize_ranges
+from .dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset, Value, cell_problem, integer, normalize_ranges
 from .errors import SimilarityError
 
 Row = Sequence[Value]
@@ -53,7 +53,7 @@ class DistanceSpec:
         if not all(0 <= w < math.inf for w in self.weights.values()):
             raise SimilarityError("weights must be finite and non-negative")
         if self.metric == FILTER:
-            if self.epsilon is None or not 0 < self.epsilon <= 1:
+            if self.epsilon is None or cell_problem(self.epsilon, CONTINUOUS) or not 0 < self.epsilon <= 1:
                 raise SimilarityError("filter metric requires epsilon in (0, 1]")
         elif self.epsilon is not None:
             raise SimilarityError("epsilon is only meaningful for the filter metric")
@@ -69,7 +69,7 @@ class AnalogueQuery:
     n_analogues: int = 40
 
     def __post_init__(self):
-        if self.n_analogues < 1:
+        if integer(self.n_analogues, "n_analogues", SimilarityError) < 1:
             raise SimilarityError(f"n_analogues must be at least 1, got {self.n_analogues}")
 
 

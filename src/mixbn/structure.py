@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset
+from .dataset import CATEGORICAL, CONTINUOUS, ColumnSchema, Dataset, integer
 from .errors import GraphError, StructureError
 from .graph import Dag, Edge, EdgeConstraints
 
@@ -233,7 +233,7 @@ def hill_climb(
     pair.
     """
     constraints = constraints or EdgeConstraints()
-    if max_parents < 1:
+    if integer(max_parents, "max_parents", StructureError) < 1:
         raise StructureError(f"max_parents must be >= 1, got {max_parents}")
     _require_discrete(d, d.names)
     nodes = tuple(d.names)

@@ -16,7 +16,7 @@ from mixbn.dataset import (
     select_rows,
 )
 from mixbn.errors import DatasetError
-from mixbn.parameters import fit_cpt
+from mixbn.parameters import fit_cpt, mixlearn
 from mixbn.structure import hill_climb, k2_family_score
 
 
@@ -122,6 +122,15 @@ BAD_INPUT = {
     "CSV row with the wrong cell count": (_load_text("A,B\nx,1\ny\n"), "row 2 has 1 cells, expected 2"),
     "CSV cell past the field size limit": (
         _load_text("A,B\nx,1\n" + "y" * (csv.field_size_limit() + 1) + ",2\n"), "d.csv: line 3: field larger"),
+    # a bool is not an integer setting, and neither is a float or a string
+    "bins of 2.5": (lambda tmp_path: quantile_discretize(make(AB, [("x", 1.0)]), 2.5),
+                    "bins must be an integer"),
+    "bins of True": (lambda tmp_path: quantile_discretize(make(AB, [("x", 1.0)]), True),
+                     "bins must be an integer"),
+    "mixlearn with bins of 2.5": (lambda tmp_path: mixlearn(make(AB, [("x", 1.0)]), bins=2.5),
+                                  "bins must be an integer"),
+    "mixlearn with bins of '5'": (lambda tmp_path: mixlearn(make(AB, [("x", 1.0)]), bins="5"),
+                                  "bins must be an integer"),
 }
 
 

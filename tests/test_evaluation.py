@@ -95,7 +95,8 @@ class TestEvalConfig:
         "field, value",
         [("bins", 1), ("bins", 0), ("max_parents", 0), ("max_parents", -1),
          ("bins", 4.5), ("bins", True), ("max_parents", 2.0), ("max_parents", None),
-         ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", 1.5), ("epsilon", math.nan)],
+         ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", 1.5), ("epsilon", math.nan),
+         ("epsilon", "0.1"), ("epsilon", True)],
     )
     def test_training_settings_that_cannot_train_rejected(self, field, value):
         # each would make every train_model fail into training_failures

@@ -8,11 +8,13 @@ from sampler_reference import forward_sample_reference
 from synth import reservoir_like_dataset, with_blanks
 
 from mixbn import inference
+from mixbn.dataset import CATEGORICAL, CONTINUOUS
 from mixbn.errors import InferenceError
 from mixbn.graph import Dag
 from mixbn.inference import (
     anomaly_score,
     forward_sample,
+    posterior,
     restore,
     sanitize_evidence,
     validate_evidence,
@@ -283,18 +285,90 @@ class TestRestore:
         assert abs(out["Y"] - 5.0) <= 3 * stderr
 
     def test_mode_tie_broken_by_label_order(self):
-        model = chain_model(p_b_given_a={("a",): (0.5, 0.5)})
-        out = restore(model, {"A": "a", "B": None}, 2, seed=12)
-        assert out["B"] in ("b", "d")
-        # with a forced exact tie the smaller label wins
-        dag = Dag(("B",))
-        flat = BayesianNetworkModel(dag, {"B": Cpt(("b", "d"), {(): (0.5, 0.5)})})
-        draws = restore(flat, {"B": None}, 1, seed=0)
-        assert draws["B"] in ("b", "d")
+        # states in reverse label order, and two draws that tie: "d" first, then "b"
+        flat = BayesianNetworkModel(Dag(("B",)), {"B": Cpt(("d", "b"), {(): (0.5, 0.5)})})
+        assert forward_sample(flat, {}, 2, seed=8) == {"B": ["d", "b"]}
+        p = posterior(flat, {"B": None}, ["B"], 2, seed=8)["B"]
+        assert list(p.items()) == [("d", 0.5), ("b", 0.5)]
+        # the smaller label wins, not the first state or the first draw
+        assert restore(flat, {"B": None}, 2, seed=8) == {"B": "b"}
 
     def test_unknown_record_field(self):
         with pytest.raises(InferenceError):
             restore(chain_model(), {"A": "a", "Z": None}, 5, seed=0)
+
+
+def assert_posterior_summarizes_the_draws(model, record, fields, m, seed):
+    got = posterior(model, record, fields, m, seed)
+    ev = {k: v for k, v in record.items() if k not in fields and v is not None}
+    draws = forward_sample(model, ev, m, seed)
+    assert list(got) == list(fields)
+    for node in fields:
+        if model.node_kind[node] == CATEGORICAL:
+            states = model.distributions[node].states
+            assert list(got[node].items()) == [(s, draws[node].count(s) / m) for s in states]
+            assert all(type(v) is float for v in got[node].values())
+            assert math.isclose(sum(got[node].values()), 1.0, abs_tol=1e-12)
+        else:
+            mean, sd = got[node]
+            # bit for bit the mean and population sd numpy gives
+            assert (mean, sd) == (float(np.mean(draws[node])), float(np.std(draws[node])))
+            assert type(mean) is float and type(sd) is float
+
+
+class TestPosterior:
+    @pytest.mark.parametrize("fields", sorted(EVIDENCE_FIELDS))
+    @pytest.mark.parametrize("n_rows, seed", [(1073, 11), (40, 1), (40, 2)])
+    def test_learned_model_summarizes_the_draws(self, n_rows, seed, fields):
+        model = learned_model(n_rows, seed)
+        offered = {n: v for n, v in zip(NAMES, HELD_OUT.rows[0]) if n in EVIDENCE_FIELDS[fields]}
+        ev, _ = sanitize_evidence(model, offered)
+        record = {n: ev.get(n) for n in NAMES}
+        missing = [n for n in NAMES if record[n] is None]
+        for sample_seed in (0, 7):
+            assert_posterior_summarizes_the_draws(model, record, missing, 150, sample_seed)
+            # a field given in the record is not evidence for itself
+            assert_posterior_summarizes_the_draws(model, record, NAMES[::-1], 150, sample_seed)
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built_model_summarizes_the_draws(self, case):
+        build, ev, m = HAND_BUILT[case]
+        model = build()
+        free = [n for n in model.dag.nodes if n not in ev]
+        for sample_seed in (0, 3):
+            assert_posterior_summarizes_the_draws(model, dict(ev), free, m, sample_seed)
+
+    def test_zero_probability_states_are_listed(self):
+        # B's CPT row under A = "a" gives "d" probability 0, so "d" is never drawn
+        p = posterior(clg_model(), {"A": "a"}, ["B"], 50, seed=0)["B"]
+        assert list(p) == ["b", "d", "e"] and p["d"] == 0.0
+
+    @pytest.mark.parametrize("n_rows, seed", [(1073, 11), (40, 3)])
+    def test_restore_and_anomaly_score_read_the_posterior(self, n_rows, seed):
+        model = learned_model(n_rows, seed)
+        row, _ = sanitize_evidence(model, dict(zip(NAMES, HELD_OUT.rows[0])))
+        sparse = {n: (row.get(n) if k % 3 == 0 else None) for k, n in enumerate(NAMES)}
+        missing = [n for n in NAMES if sparse[n] is None]
+        p = posterior(model, sparse, missing, 200, 5)
+        expected = {n: min(p[n], key=lambda s: (-p[n][s], s)) if isinstance(p[n], dict) else p[n][0]
+                    for n in missing}
+        assert restore(model, sparse, 200, 5) == {**sparse, **expected}
+        for target in NAMES:
+            if model.node_kind[target] == CONTINUOUS and target in row:
+                mean, sd = posterior(model, row, [target], 200, 9)[target]
+                assert anomaly_score(model, row, target, 200, 9) == (
+                    abs(row[target] - mean) / sd, abs(row[target] - mean) / sd > 2.0)
+
+    @pytest.mark.parametrize("fields", [[], ["Z"], ["A", "Z"], ["B", "B"], ("A", "B", "A")])
+    def test_bad_fields_rejected(self, fields):
+        with pytest.raises(InferenceError, match="fields"):
+            posterior(chain_model(), {"A": "a"}, fields, 10, 0)
+
+    def test_unknown_record_name_rejected_before_the_fields(self):
+        with pytest.raises(InferenceError, match="unknown nodes"):
+            posterior(chain_model(), {"A": "a", "Z": None}, [], 10, 0)
+        with pytest.raises(InferenceError, match="unknown nodes"):
+            restore(chain_model(), {"A": "a", "B": "b", "Z": None}, 10, 0)
 
 
 class TestAnomalyScore:

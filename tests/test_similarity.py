@@ -303,7 +303,15 @@ class TestMetricSpec:
         pytest.param(lambda: DistanceSpec("filter", epsilon=1.5), r"epsilon in \(0, 1\]", id="filter epsilon 1.5"),
         pytest.param(lambda: DistanceSpec("gower", epsilon=0.1), "only meaningful for the filter",
                      id="epsilon on gower"),
+        pytest.param(lambda: DistanceSpec("filter", epsilon="0.1"), r"epsilon in \(0, 1\]",
+                     id="filter epsilon string"),
+        pytest.param(lambda: DistanceSpec("filter", epsilon=True), r"epsilon in \(0, 1\]",
+                     id="filter epsilon True"),
         pytest.param(lambda: AnalogueQuery(("a", 1.0), spec(), n_analogues=0), "at least 1", id="no analogues"),
+        pytest.param(lambda: AnalogueQuery(("a", 1.0), spec(), n_analogues=2.5),
+                     "n_analogues must be an integer", id="fractional analogue count"),
+        pytest.param(lambda: AnalogueQuery(("a", 1.0), spec(), n_analogues=True),
+                     "n_analogues must be an integer", id="analogue count True"),
         pytest.param(lambda: penalty_weights(Dataset(MIXED, (("a", 1.0),))), "at least 2 rows", id="one-row pool"),
     ],
 )

@@ -204,6 +204,13 @@ class TestHillClimb:
         with pytest.raises(StructureError, match="max_parents must be >= 1"):
             hill_climb(random_binary_dataset(0, 12), max_parents=0)
 
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    @pytest.mark.parametrize("learn", [hill_climb, mixlearn])
+    def test_non_integer_max_parents_rejected(self, learn, value):
+        # a bool is not an integer setting, though it compares as 1
+        with pytest.raises(StructureError, match="max_parents must be an integer"):
+            learn(random_binary_dataset(0, 12), max_parents=value)
+
     def test_max_parents_respected(self):
         d = random_binary_dataset(7, 16, names=("A", "B", "C", "D"))
         g = hill_climb(d, max_parents=1)
